@@ -42,15 +42,24 @@ func BenchmarkFig16Optimality(b *testing.B)      { benchExperiment(b, "fig16") }
 
 // Component micro-benchmarks: the compiler and simulator hot paths.
 
+// compileDirect is the uncached compile the micro-benchmarks time: the
+// registry dispatch behind Do, without the engine's result cache.
+func compileDirect(b *testing.B, compiler string, c *Circuit, topo *Topology) *CompileResult {
+	b.Helper()
+	res, err := engine.Direct(engine.Request{Circuit: c, Topo: topo, Compiler: compiler})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 func BenchmarkCompileQFT24G2x3(b *testing.B) {
 	c := QFT(24)
 	topo := GridDevice(2, 3, 17)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compile(DefaultCompileConfig(), c, topo); err != nil {
-			b.Fatal(err)
-		}
+		compileDirect(b, SSyncCompilerName, c, topo)
 	}
 }
 
@@ -60,9 +69,7 @@ func BenchmarkCompileAdder32L4(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compile(DefaultCompileConfig(), c, topo); err != nil {
-			b.Fatal(err)
-		}
+		compileDirect(b, SSyncCompilerName, c, topo)
 	}
 }
 
@@ -71,19 +78,14 @@ func BenchmarkCompileMuraliQFT24(b *testing.B) {
 	topo := GridDevice(2, 3, 17)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CompileMurali(c, topo); err != nil {
-			b.Fatal(err)
-		}
+		compileDirect(b, MuraliCompilerName, c, topo)
 	}
 }
 
 func BenchmarkSimulateQFT24(b *testing.B) {
 	c := QFT(24)
 	topo := GridDevice(2, 3, 17)
-	res, err := Compile(DefaultCompileConfig(), c, topo)
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := compileDirect(b, SSyncCompilerName, c, topo)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -95,19 +97,11 @@ func BenchmarkStateVectorQFT12(b *testing.B) {
 	c := QFT(12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := VerifySchedule(c, mustCompile(b, c).Schedule, 1); err != nil {
+		res := compileDirect(b, SSyncCompilerName, c, GridDevice(2, 2, 6))
+		if err := VerifySchedule(c, res.Schedule, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-func mustCompile(b *testing.B, c *Circuit) *CompileResult {
-	b.Helper()
-	res, err := Compile(DefaultCompileConfig(), c, GridDevice(2, 2, 6))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
 }
 
 func BenchmarkAblation(b *testing.B) { benchExperiment(b, "ablation") }
@@ -118,15 +112,15 @@ func BenchmarkAblation(b *testing.B) { benchExperiment(b, "ablation") }
 // serial vs workers-N ns/op for the pool speedup, and cached for the
 // steady-state service path.
 func BenchmarkBatchCompile(b *testing.B) {
-	var jobs []engine.Job
+	var reqs []engine.Request
 	for _, bench := range []string{"QFT_12", "Adder_4", "BV_12"} {
 		c, err := Benchmark(bench)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, topo := range []*Topology{StarDevice(4, 8), GridDevice(2, 2, 8)} {
-			for _, comp := range []CompilerID{MuraliCompiler, DaiCompiler, SSyncCompiler} {
-				jobs = append(jobs, engine.Job{Circuit: c, Topo: topo, Compiler: comp})
+			for _, comp := range []string{MuraliCompilerName, DaiCompilerName, SSyncCompilerName} {
+				reqs = append(reqs, engine.Request{Circuit: c, Topo: topo, Compiler: comp})
 			}
 		}
 	}
@@ -135,8 +129,8 @@ func BenchmarkBatchCompile(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		eng := engine.New(engine.Options{CacheSize: -1})
 		for i := 0; i < b.N; i++ {
-			for _, j := range jobs {
-				if r := eng.Compile(ctx, j); r.Err != nil {
+			for _, req := range reqs {
+				if r := eng.Do(ctx, req); r.Err != nil {
 					b.Fatal(r.Err)
 				}
 			}
@@ -146,7 +140,7 @@ func BenchmarkBatchCompile(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			pool := engine.Pool{Engine: engine.New(engine.Options{CacheSize: -1}), Workers: workers}
 			for i := 0; i < b.N; i++ {
-				if err := engine.FirstError(pool.Run(ctx, jobs)); err != nil {
+				if err := engine.FirstError(pool.RunRequests(ctx, reqs)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -154,12 +148,12 @@ func BenchmarkBatchCompile(b *testing.B) {
 	}
 	b.Run("cached", func(b *testing.B) {
 		pool := engine.Pool{Engine: engine.New(engine.Options{}), Workers: 4}
-		if err := engine.FirstError(pool.Run(ctx, jobs)); err != nil {
+		if err := engine.FirstError(pool.RunRequests(ctx, reqs)); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := engine.FirstError(pool.Run(ctx, jobs)); err != nil {
+			if err := engine.FirstError(pool.RunRequests(ctx, reqs)); err != nil {
 				b.Fatal(err)
 			}
 		}

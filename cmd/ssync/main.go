@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -22,7 +23,7 @@ func main() {
 		qasmFile  = flag.String("qasm", "", "path to an OpenQASM 2.0 file (alternative to -bench)")
 		topoName  = flag.String("topo", "G-2x3", "topology: L-n, G-rxc or S-n")
 		capacity  = flag.Int("cap", 0, "per-trap capacity (default: the paper's choice for the topology)")
-		compiler  = flag.String("compiler", "ssync", "compiler: ssync, murali or dai")
+		compiler  = flag.String("compiler", "ssync", "registered compiler: ssync, murali, dai or ssync-annealed")
 		mapName   = flag.String("mapping", "gathering", "initial mapping for ssync: gathering, even-divided or sta")
 		gateModel = flag.String("gate", "FM", "two-qubit gate implementation: FM, PM, AM1 or AM2")
 		verify    = flag.Bool("verify", false, "verify schedule semantics by state-vector simulation (<= 22 qubits)")
@@ -64,29 +65,15 @@ func run(benchName, qasmFile, topoName string, capacity int, compiler, mapName, 
 		return err
 	}
 
-	var res *ssync.CompileResult
-	switch compiler {
-	case "ssync":
-		cfg := ssync.DefaultCompileConfig()
-		strat, err := parseMapping(mapName)
-		if err != nil {
-			return err
-		}
-		cfg.Mapping.Strategy = strat
-		res, err = ssync.Compile(cfg, c, topo)
-		if err != nil {
-			return err
-		}
-	case "murali":
-		res, err = ssync.CompileMurali(c, topo)
-	case "dai":
-		res, err = ssync.CompileDai(c, topo)
-	default:
-		return fmt.Errorf("unknown compiler %q (want ssync, murali or dai)", compiler)
-	}
-	if err != nil {
+	cfg := ssync.DefaultCompileConfig()
+	if cfg.Mapping.Strategy, err = parseMapping(mapName); err != nil {
 		return err
 	}
+	resp := ssync.Do(context.Background(), ssync.CompileRequest{Circuit: c, Topo: topo, Compiler: compiler, Config: &cfg})
+	if resp.Err != nil {
+		return resp.Err
+	}
+	res := resp.Result
 
 	opt := ssync.DefaultSimOptions()
 	model, err := parseModel(gateModel)

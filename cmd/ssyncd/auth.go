@@ -24,10 +24,7 @@ import (
 
 // authRoutes is the set of paths the auth layer guards. All are
 // POST-only handlers; everything else passes unauthenticated.
-var authRoutes = map[string]bool{
-	"/v1/compile": true, "/v1/batch": true,
-	"/v2/compile": true, "/v2/batch": true,
-}
+var authRoutes = map[string]bool{"/v2/compile": true, "/v2/batch": true}
 
 // authOptions carries the -auth-* / -cluster-secret flags into the
 // layer's constructor.

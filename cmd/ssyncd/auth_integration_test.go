@@ -167,7 +167,7 @@ func TestAuthRequiredRejectsHostileInputs(t *testing.T) {
 
 	// The GET surface needs no credentials: health checks, scrapers and
 	// the cluster router's replica polling keep working.
-	for _, path := range []string{"/v2/stats", "/v2/compilers", "/v1/stats", "/metrics"} {
+	for _, path := range []string{"/v2/stats", "/v2/compilers", "/metrics"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

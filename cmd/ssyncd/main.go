@@ -23,17 +23,15 @@
 // X-Request-ID (minted, or accepted from the caller) that appears on
 // all of its structured log lines (-log-format json|text, -log-level),
 // GET /metrics exposes Prometheus counters/gauges/histograms for the
-// scheduler, artifact store, passes and HTTP layer, -debug-addr starts
-// a separate net/http/pprof listener, and -stats-file periodically
-// flushes the /v2/stats document to disk.
+// scheduler, artifact store, passes and HTTP layer, and -debug-addr
+// starts a separate net/http/pprof listener.
 //
 // Usage:
 //
 //	ssyncd -addr :8484 -workers 8 -queue 256 -cache 1024 -stage-cache 1024 \
 //	    -cache-dir /var/cache/ssyncd -cache-disk-max 268435456 \
 //	    -timeout 60s -drain 30s \
-//	    -log-format json -log-level info -debug-addr localhost:8485 \
-//	    -stats-file /var/run/ssyncd/stats.json -stats-interval 1m
+//	    -log-format json -log-level info -debug-addr localhost:8485
 //
 // Endpoints:
 //
@@ -44,9 +42,6 @@
 //	GET  /v2/traces    (flight recorder: ?route=&principal=&min_ms=&limit=)
 //	GET  /v2/traces/{id}  (one request's span tree; stitched fleet-wide in router mode)
 //	GET  /metrics      (Prometheus text exposition)
-//	POST /v1/compile   (frozen schema; thin adapter over /v2)
-//	POST /v1/batch
-//	GET  /v1/stats
 //
 // On SIGINT/SIGTERM the listener closes immediately and in-flight
 // compilations get -drain to finish before the process exits.
@@ -54,18 +49,15 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
@@ -100,10 +92,7 @@ func main() {
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn or error (debug adds per-pass and trace-span lines)")
 		debugAddr = flag.String("debug-addr", "",
 			"separate listen address for net/http/pprof and a /metrics mirror (empty disables; bind to localhost)")
-		statsFile = flag.String("stats-file", "",
-			"periodically write the /v2/stats document to this file, atomically (empty disables)")
-		statsInterval = flag.Duration("stats-interval", time.Minute, "interval between -stats-file flushes")
-		mode          = flag.String("mode", "replica",
+		mode = flag.String("mode", "replica",
 			"process role: \"replica\" serves compilations; \"router\" fronts a fleet of replicas, consistent-hashing each request's cache key so identical circuits land on the replica already holding (or compiling) their result")
 		replicas = flag.String("replicas", "",
 			"router mode: comma-separated replica base URLs (e.g. http://replica1:8484,http://replica2:8484)")
@@ -198,9 +187,6 @@ func main() {
 		}()
 		logger.Info("debug listener started", "addr", dln.Addr().String())
 	}
-	if *statsFile != "" {
-		go flushStats(ctx, srv, *statsFile, *statsInterval, logger)
-	}
 	fmt.Printf("ssyncd listening on %s (workers=%d queue=%d cache=%d stage-cache=%d cache-dir=%q timeout=%s drain=%s)\n",
 		ln.Addr(), *workers, *queue, *cache, *stageCache, *cacheDir, *timeout, *drain)
 	if err := serve(ctx, hs, ln, *drain); err != nil {
@@ -222,51 +208,6 @@ func debugMux(srv *server) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/metrics", srv.reg)
 	return mux
-}
-
-// flushStats writes the /v2/stats document to path every interval
-// (temp file + rename, so readers never see a torn write), and once
-// more on shutdown so the final counters survive the process.
-func flushStats(ctx context.Context, srv *server, path string, interval time.Duration, logger *slog.Logger) {
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	write := func() {
-		doc, err := json.MarshalIndent(srv.statsV2(), "", "  ")
-		if err != nil {
-			logger.Warn("stats flush failed", "path", path, "err", err)
-			return
-		}
-		tmp, err := os.CreateTemp(filepath.Dir(path), ".stats-*.tmp")
-		if err != nil {
-			logger.Warn("stats flush failed", "path", path, "err", err)
-			return
-		}
-		name := tmp.Name()
-		_, werr := tmp.Write(append(doc, '\n'))
-		cerr := tmp.Close()
-		if werr == nil {
-			werr = cerr
-		}
-		if werr == nil {
-			werr = os.Rename(name, path)
-		}
-		if werr != nil {
-			os.Remove(name)
-			logger.Warn("stats flush failed", "path", path, "err", werr)
-		}
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			write()
-			return
-		case <-tick.C:
-			write()
-		}
-	}
 }
 
 // serve runs hs on ln until ctx is cancelled (SIGINT/SIGTERM in main),

@@ -24,7 +24,6 @@ import (
 // Anything else — typos, scans, probes — collapses into "other", so an
 // attacker cannot mint unbounded label cardinality by walking paths.
 var knownRoutes = map[string]bool{
-	"/v1/compile": true, "/v1/batch": true, "/v1/stats": true,
 	"/v2/compile": true, "/v2/batch": true, "/v2/compilers": true,
 	"/v2/passes": true, "/v2/stats": true, "/v2/traces": true,
 	"/metrics": true,

@@ -20,22 +20,14 @@ func routerRequestKey(method, path string, body []byte) (cluster.Key, bool) {
 	if method != http.MethodPost {
 		return cluster.Key{}, false
 	}
-	var wire compileRequestV2
-	switch path {
-	case "/v2/compile":
-		if json.Unmarshal(body, &wire) != nil {
-			return cluster.Key{}, false
-		}
-	case "/v1/compile":
-		var v1 compileRequest
-		if json.Unmarshal(body, &v1) != nil {
-			return cluster.Key{}, false
-		}
-		wire = v1.v2()
-	default:
+	if path != "/v2/compile" {
 		// Batches hash as one body: their entries fan out on whichever
 		// replica receives them, and splitting a batch across shards would
 		// trade its single response envelope for router-side re-assembly.
+		return cluster.Key{}, false
+	}
+	var wire compileRequestV2
+	if json.Unmarshal(body, &wire) != nil {
 		return cluster.Key{}, false
 	}
 	if wire.Portfolio {

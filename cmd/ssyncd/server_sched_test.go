@@ -82,9 +82,9 @@ func waitQueued(t *testing.T, ts *httptest.Server, want int) {
 }
 
 // TestQueueFullSheds429 is the end-to-end shedding contract: with the
-// single worker slot held and the interactive queue at its bound, both
-// /v2/compile and the frozen /v1 adapter reject new arrivals with
-// 429 + Retry-After and a structured error body — never a generic 500.
+// single worker slot held and the interactive queue at its bound,
+// /v2/compile rejects new arrivals with 429 + Retry-After and a
+// structured error body — never a generic 500.
 func TestQueueFullSheds429(t *testing.T) {
 	ts, compiler, starts, proceed := gatedServer(t, 1)
 	req := compileRequestV2{Label: "held", Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Compiler: compiler}
@@ -121,25 +121,12 @@ func TestQueueFullSheds429(t *testing.T) {
 		t.Error("/v2 429 missing structured error body")
 	}
 
-	// The frozen /v1 adapter maps the same shed to the same codes. Its
-	// closed compiler enum forces a built-in name; with the slot held
-	// and the interactive queue full, admission sheds before the
-	// compiler ever runs.
-	v1 := compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Compiler: "ssync"}
-	resp = postJSON(t, ts.URL+"/v1/compile", v1, &errBody)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("/v1 over-queue status = %d, want 429 (%v)", resp.StatusCode, errBody)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("/v1 429 missing Retry-After")
-	}
-
 	st := statsV2(t, ts)
 	if st.Sched == nil {
 		t.Fatal("stats missing sched section")
 	}
-	if got := st.Sched.Classes["interactive"].ShedQueueFull; got != 2 {
-		t.Errorf("interactive shed_queue_full = %d, want 2", got)
+	if got := st.Sched.Classes["interactive"].ShedQueueFull; got != 1 {
+		t.Errorf("interactive shed_queue_full = %d, want 1", got)
 	}
 	if st.Sched.Slots != 1 || st.Sched.Busy != 1 {
 		t.Errorf("sched gauges = slots %d busy %d, want 1/1", st.Sched.Slots, st.Sched.Busy)

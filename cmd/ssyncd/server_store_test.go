@@ -109,7 +109,7 @@ func TestRestartServesFromDiskTier(t *testing.T) {
 			warm.CacheHit, warm.CacheTier)
 	}
 	if warm.Shuttles != cold.Shuttles || warm.Swaps != cold.Swaps || warm.Key != cold.Key {
-		t.Errorf("disk-served result differs: %+v vs %+v", warm.compileResponse, cold.compileResponse)
+		t.Errorf("disk-served result differs: %+v vs %+v", warm, cold)
 	}
 	httpResp, err := http.Get(restarted.URL + "/v2/stats")
 	if err != nil {

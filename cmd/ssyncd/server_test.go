@@ -41,9 +41,9 @@ func postJSON(t *testing.T, url string, body any, out any) *http.Response {
 
 func TestCompileEndpoint(t *testing.T) {
 	ts := testServer(t)
-	var got compileResponse
-	resp := postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8}, &got)
+	var got compileResponseV2
+	resp := postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8}, &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -61,9 +61,9 @@ func TestCompileEndpoint(t *testing.T) {
 	}
 
 	// The identical request must come back from the cache.
-	var again compileResponse
-	postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8}, &again)
+	var again compileResponseV2
+	postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8}, &again)
 	if !again.CacheHit {
 		t.Error("repeat request missed the cache")
 	}
@@ -75,9 +75,9 @@ func TestCompileEndpoint(t *testing.T) {
 func TestCompileInlineQASM(t *testing.T) {
 	ts := testServer(t)
 	src := "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n"
-	var got compileResponse
-	resp := postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{QASM: src, Topology: "L-2", Capacity: 4, Compiler: "murali"}, &got)
+	var got compileResponseV2
+	resp := postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{QASM: src, Topology: "L-2", Capacity: 4, Compiler: "murali"}, &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -88,24 +88,9 @@ func TestCompileInlineQASM(t *testing.T) {
 
 func TestCompileRejectsBadRequests(t *testing.T) {
 	ts := testServer(t)
-	cases := []compileRequest{
-		{Topology: "G-2x2"}, // no circuit
-		{Benchmark: "QFT_12", QASM: "x", Topology: "G-2x2"},          // both
-		{Benchmark: "QFT_12"},                                        // no topology
-		{Benchmark: "QFT_12", Topology: "Z-9"},                       // unknown device
-		{Benchmark: "QFT_12", Topology: "G-2x2", Compiler: "qiskit"}, // unknown compiler (cap default)
-		{Benchmark: "QFT_12", Topology: "G-2x2", Mapping: "bogus"},   // unknown mapping
-	}
-	for i, req := range cases {
-		resp := postJSON(t, ts.URL+"/v1/compile", req, nil)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("case %d: status %d, want 400 (request validation)", i, resp.StatusCode)
-		}
-	}
-
 	// Hostile topology parameters must come back as 400s, not reach the
 	// panicking device constructors (negative capacity / dimensions).
-	hostile := []compileRequest{
+	hostile := []compileRequestV2{
 		{Benchmark: "QFT_12", Topology: "L-6", Capacity: -1},
 		{Benchmark: "QFT_12", Topology: "G--1x2"},
 		{Benchmark: "QFT_12", Topology: "S-0", Capacity: 8},
@@ -117,26 +102,26 @@ func TestCompileRejectsBadRequests(t *testing.T) {
 		{Benchmark: "BV_12", Topology: "L-6", Capacity: 2000000000}, // DoS-scale capacity
 	}
 	for i, req := range hostile {
-		resp := postJSON(t, ts.URL+"/v1/compile", req, nil)
+		resp := postJSON(t, ts.URL+"/v2/compile", req, nil)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("hostile case %d: status %d, want 400", i, resp.StatusCode)
 		}
 	}
-	if resp := postJSON(t, ts.URL+"/v1/stats", nil, nil); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /v1/stats: status %d, want 405", resp.StatusCode)
+	if resp := postJSON(t, ts.URL+"/v2/stats", nil, nil); resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /v2/stats: status %d, want 405", resp.StatusCode)
 	}
 }
 
 func TestBatchEndpoint(t *testing.T) {
 	ts := testServer(t)
-	req := batchRequest{Jobs: []compileRequest{
+	req := batchRequestV2{Requests: []compileRequestV2{
 		{Label: "a", Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8},
 		{Label: "b", Benchmark: "BV_12", Topology: "S-4", Capacity: 8, Compiler: "dai"},
 		{Label: "broken", Topology: "G-2x2"},
 		{Label: "c", Benchmark: "Adder_4", Topology: "S-4", Capacity: 8, Mapping: "sta"},
 	}}
-	var got batchResponse
-	resp := postJSON(t, ts.URL+"/v1/batch", req, &got)
+	var got batchResponseV2
+	resp := postJSON(t, ts.URL+"/v2/batch", req, &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -160,8 +145,8 @@ func TestBatchEndpoint(t *testing.T) {
 
 func TestTimeoutStatusIs504(t *testing.T) {
 	ts := testServer(t)
-	resp := postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{Benchmark: "QFT_64", Topology: "G-3x3", TimeoutMs: 1}, nil)
+	resp := postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{Benchmark: "QFT_64", Topology: "G-3x3", TimeoutMs: 1}, nil)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("timed-out compile: status %d, want 504", resp.StatusCode)
 	}
@@ -170,21 +155,21 @@ func TestTimeoutStatusIs504(t *testing.T) {
 func TestBatchLimits(t *testing.T) {
 	ts := testServer(t)
 	// Entry-count limit.
-	big := batchRequest{Jobs: make([]compileRequest, maxBatchJobs+1)}
-	for i := range big.Jobs {
-		big.Jobs[i] = compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}
+	big := batchRequestV2{Requests: make([]compileRequestV2, maxBatchJobs+1)}
+	for i := range big.Requests {
+		big.Requests[i] = compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}
 	}
-	if resp := postJSON(t, ts.URL+"/v1/batch", big, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v2/batch", big, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized batch: status %d, want 400", resp.StatusCode)
 	}
 	// Aggregate-size budget: each entry is individually legal.
-	var heavy batchRequest
+	var heavy batchRequestV2
 	for i := 0; i < maxBatchSizeBudget/maxBenchmarkSize+1; i++ {
-		heavy.Jobs = append(heavy.Jobs, compileRequest{
+		heavy.Requests = append(heavy.Requests, compileRequestV2{
 			Benchmark: fmt.Sprintf("QFT_%d", maxBenchmarkSize), Topology: "L-6",
 		})
 	}
-	if resp := postJSON(t, ts.URL+"/v1/batch", heavy, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v2/batch", heavy, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("over-budget batch: status %d, want 400", resp.StatusCode)
 	}
 }
@@ -193,15 +178,15 @@ func TestPortfolioStatusCodes(t *testing.T) {
 	ts := testServer(t)
 	// Well-formed but uncompilable (circuit larger than the device) must
 	// be 422, matching the non-portfolio path.
-	resp := postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{Benchmark: "QFT_64", Topology: "G-2x2", Capacity: 4, Portfolio: true}, nil)
+	resp := postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{Benchmark: "QFT_64", Topology: "G-2x2", Capacity: 4, Portfolio: true}, nil)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("infeasible portfolio: status %d, want 422", resp.StatusCode)
 	}
 	// A mapping override contradicts racing all strategies: reject loudly
 	// rather than silently ignoring it.
-	resp = postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Portfolio: true, Mapping: "sta"}, nil)
+	resp = postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Portfolio: true, Mapping: "sta"}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("portfolio+mapping: status %d, want 400", resp.StatusCode)
 	}
@@ -209,9 +194,9 @@ func TestPortfolioStatusCodes(t *testing.T) {
 
 func TestPortfolioCompile(t *testing.T) {
 	ts := testServer(t)
-	var got compileResponse
-	resp := postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Portfolio: true}, &got)
+	var got compileResponseV2
+	resp := postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Portfolio: true}, &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -222,17 +207,17 @@ func TestPortfolioCompile(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	ts := testServer(t)
-	postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, nil)
-	postJSON(t, ts.URL+"/v1/compile",
-		compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, nil)
+	postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, nil)
+	postJSON(t, ts.URL+"/v2/compile",
+		compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, nil)
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	resp, err := http.Get(ts.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statsResponse
+	var st statsResponseV2
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

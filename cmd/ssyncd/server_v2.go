@@ -24,7 +24,7 @@ import (
 // compilations from the pass registry (GET /v2/passes lists it),
 // anneal_seed parameterises the "ssync-annealed" entrant
 // deterministically, and responses report single-flight coalescing plus
-// per-pass timings. /v1 adapts onto the same implementation.
+// per-pass timings.
 
 // passSpecV2 is one pipeline stage over the wire: a registered pass name
 // plus its opaque options document.
@@ -95,10 +95,22 @@ type passTimingV2 struct {
 	GateDelta int `json:"gate_delta"`
 }
 
-// compileResponseV2 is one /v2 compilation outcome: the v1 fields plus
-// coalescing and pipeline visibility.
+// compileResponseV2 is one /v2 compilation outcome.
 type compileResponseV2 struct {
-	compileResponse
+	Label         string  `json:"label,omitempty"`
+	Compiler      string  `json:"compiler,omitempty"`
+	Winner        string  `json:"winner,omitempty"` // portfolio entrant that won
+	Topology      string  `json:"topology,omitempty"`
+	Qubits        int     `json:"qubits,omitempty"`
+	TwoQubitGates int     `json:"two_qubit_gates,omitempty"`
+	Shuttles      int     `json:"shuttles"`
+	Swaps         int     `json:"swaps"`
+	SuccessRate   float64 `json:"success_rate"`
+	ExecTimeUs    float64 `json:"exec_time_us"`
+	CompileMs     float64 `json:"compile_ms"`
+	CacheHit      bool    `json:"cache_hit"`
+	Key           string  `json:"key,omitempty"`
+	Error         string  `json:"error,omitempty"`
 	// RequestID echoes the request's correlation ID (the X-Request-ID
 	// response header) in the body, so stored responses stay joinable to
 	// server logs. Batch entries share the enclosing request's ID.
@@ -294,7 +306,17 @@ func schedStats(st *sched.Stats) *schedStatsV2 {
 }
 
 type statsResponseV2 struct {
-	statsResponse
+	UptimeSeconds  float64 `json:"uptime_seconds"`
+	Requests       uint64  `json:"requests"`
+	JobsCompiled   uint64  `json:"jobs_compiled"`
+	JobErrors      uint64  `json:"job_errors"`
+	CacheHits      uint64  `json:"cache_hits"`
+	CacheMisses    uint64  `json:"cache_misses"`
+	CacheEvictions uint64  `json:"cache_evictions"`
+	CacheEntries   int     `json:"cache_entries"`
+	CacheCapacity  int     `json:"cache_capacity"`
+	CacheHitRate   float64 `json:"cache_hit_rate"`
+	Workers        int     `json:"workers"`
 	// Coalesced counts requests served by attaching to an in-flight
 	// identical compilation (single-flight joins).
 	Coalesced uint64 `json:"coalesced"`
@@ -504,14 +526,10 @@ func (s *server) compileOne(ctx context.Context, req compileRequestV2) (compileR
 	return resp, http.StatusOK, nil
 }
 
-// compileBatch handles a batch of wire requests. invalid, when non-nil,
-// carries per-entry validation errors the caller (the /v1 adapter)
-// established up front; those entries fail individually without reaching
-// the engine. The int is the HTTP status when err is non-nil.
-func (s *server) compileBatch(ctx context.Context, entries []compileRequestV2, invalid []string) ([]compileResponseV2, int, error) {
+// compileBatch handles a batch of wire requests. The int is the HTTP
+// status when err is non-nil.
+func (s *server) compileBatch(ctx context.Context, entries []compileRequestV2) ([]compileResponseV2, int, error) {
 	if len(entries) == 0 {
-		// Schema-neutral wording: the array is "jobs" on /v1 and
-		// "requests" on /v2.
 		return nil, http.StatusBadRequest, fmt.Errorf("batch needs at least one entry")
 	}
 	if len(entries) > maxBatchJobs {
@@ -545,12 +563,8 @@ func (s *server) compileBatch(ctx context.Context, entries []compileRequestV2, i
 	var reqs []engine.Request
 	var reqIdx []int
 	for i, cr := range entries {
-		if invalid != nil && invalid[i] != "" {
-			results[i] = compileResponseV2{compileResponse: compileResponse{Label: cr.Label, Error: invalid[i]}}
-			continue
-		}
 		if cr.Portfolio {
-			results[i] = compileResponseV2{compileResponse: compileResponse{Label: cr.Label, Error: "portfolio is single-compile only; use the compile endpoint"}}
+			results[i] = compileResponseV2{Label: cr.Label, Error: "portfolio is single-compile only; use the compile endpoint"}
 			continue
 		}
 		er, err := s.buildRequest(ctx, cr, sched.Batch, arrival)
@@ -584,10 +598,7 @@ func (s *server) compileBatch(ctx context.Context, entries []compileRequestV2, i
 // (429/503 for scheduler sheds) plus the per-entry Retry-After
 // equivalent.
 func entryError(label string, err error, status int) compileResponseV2 {
-	out := compileResponseV2{
-		compileResponse: compileResponse{Label: label, Error: err.Error()},
-		ErrorStatus:     status,
-	}
+	out := compileResponseV2{Label: label, Error: err.Error(), ErrorStatus: status}
 	if retry, ok := sched.RetryAfter(err); ok && retry > 0 {
 		out.RetryAfterMs = int64(retry / time.Millisecond)
 	}
@@ -624,7 +635,7 @@ func (s *server) handleBatchV2(w http.ResponseWriter, r *http.Request) {
 	if err := decodeJSON(w, r, &req); err != nil {
 		return
 	}
-	results, status, err := s.compileBatch(r.Context(), req.Requests, nil)
+	results, status, err := s.compileBatch(r.Context(), req.Requests)
 	if err != nil {
 		httpError(w, status, err.Error())
 		return
@@ -672,10 +683,10 @@ func (s *server) handlePassesV2(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleStatsV2 serves GET /v2/stats: the v1 counters plus coalescing,
-// the registry listing, the per-tier artifact-store breakdown and the
-// per-pass aggregates — all rendered from one engine snapshot, so the
-// sections are mutually consistent.
+// handleStatsV2 serves GET /v2/stats: the request, compile and result
+// cache counters plus coalescing, the registry listing, the per-tier
+// artifact-store breakdown and the per-pass aggregates — all rendered
+// from one engine snapshot, so the sections are mutually consistent.
 func (s *server) handleStatsV2(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
@@ -684,15 +695,25 @@ func (s *server) handleStatsV2(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.statsV2())
 }
 
-// statsV2 renders the full /v2/stats body; the periodic stats-file
-// flusher (-stats-file) writes the same document, so an operator's
-// scraped files and live queries never disagree on schema.
+// statsV2 renders the full /v2/stats body from one engine snapshot, so
+// no two sections can disagree (the torn read a second Stats call
+// between them would allow).
 func (s *server) statsV2() statsResponseV2 {
 	st := s.eng.Stats()
 	resp := statsResponseV2{
-		statsResponse: s.statsV1From(st),
-		Coalesced:     st.Coalesced,
-		Compilers:     engine.Compilers(),
+		UptimeSeconds:  time.Since(s.start).Seconds(),
+		Requests:       s.requests.Load(),
+		JobsCompiled:   st.Compiled,
+		JobErrors:      st.Errors,
+		CacheHits:      st.Cache.Hits,
+		CacheMisses:    st.Cache.Misses,
+		CacheEvictions: st.Cache.Evictions,
+		CacheEntries:   st.Cache.Entries,
+		CacheCapacity:  st.Cache.Capacity,
+		CacheHitRate:   st.Cache.HitRate(),
+		Workers:        s.workers,
+		Coalesced:      st.Coalesced,
+		Compilers:      engine.Compilers(),
 	}
 	if st.Results.Mem.Capacity > 0 { // zero exactly when the engine runs cacheless
 		ss := &storeStatsV2{Results: tierStats(st.Results)}

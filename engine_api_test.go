@@ -5,48 +5,48 @@ import (
 	"testing"
 )
 
-// Tests of the public concurrent-compilation surface: NewEngine,
-// CompileBatch and CompilePortfolio.
+// Tests of the public concurrent-compilation surface: NewEngine, Do,
+// CompileRequests and CompilePortfolio.
 
-func batchJobs(t testing.TB) []CompileJob {
+func batchRequests(t testing.TB) []CompileRequest {
 	t.Helper()
-	var jobs []CompileJob
+	var reqs []CompileRequest
 	for _, bench := range []string{"QFT_12", "BV_12"} {
 		c, err := Benchmark(bench)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, comp := range []CompilerID{MuraliCompiler, DaiCompiler, SSyncCompiler} {
-			jobs = append(jobs, CompileJob{
-				Label: bench + "/" + string(comp), Circuit: c,
+		for _, comp := range []string{MuraliCompilerName, DaiCompilerName, SSyncCompilerName} {
+			reqs = append(reqs, CompileRequest{
+				Label: bench + "/" + comp, Circuit: c,
 				Topo: GridDevice(2, 2, 8), Compiler: comp,
 			})
 		}
 	}
-	return jobs
+	return reqs
 }
 
 func TestPublicCompileBatch(t *testing.T) {
-	jobs := batchJobs(t)
-	results := CompileBatch(context.Background(), jobs)
-	if len(results) != len(jobs) {
-		t.Fatalf("%d results for %d jobs", len(results), len(jobs))
+	reqs := batchRequests(t)
+	results := CompileRequests(context.Background(), reqs)
+	if len(results) != len(reqs) {
+		t.Fatalf("%d results for %d requests", len(results), len(reqs))
 	}
 	for i, r := range results {
 		if r.Err != nil {
-			t.Fatalf("%s: %v", jobs[i].Label, r.Err)
+			t.Fatalf("%s: %v", reqs[i].Label, r.Err)
 		}
-		if r.Label != jobs[i].Label {
-			t.Errorf("result %d carries label %q, want %q", i, r.Label, jobs[i].Label)
+		if r.Label != reqs[i].Label {
+			t.Errorf("result %d carries label %q, want %q", i, r.Label, reqs[i].Label)
 		}
-		if r.Res.Schedule == nil {
-			t.Errorf("%s: nil schedule", jobs[i].Label)
+		if r.Result.Schedule == nil {
+			t.Errorf("%s: nil schedule", reqs[i].Label)
 		}
 	}
 	// The shared default engine serves a repeated batch from its cache.
-	for i, r := range CompileBatch(context.Background(), jobs) {
+	for i, r := range CompileRequests(context.Background(), reqs) {
 		if r.Err != nil || !r.CacheHit {
-			t.Errorf("%s: repeat err=%v hit=%v, want cache hit", jobs[i].Label, r.Err, r.CacheHit)
+			t.Errorf("%s: repeat err=%v hit=%v, want cache hit", reqs[i].Label, r.Err, r.CacheHit)
 		}
 	}
 }
@@ -106,7 +106,8 @@ func TestPublicRegisterCompiler(t *testing.T) {
 	}
 	err := RegisterCompiler("public-test/echo",
 		func(ctx context.Context, req CompileRequest) (*CompileResult, error) {
-			return Compile(DefaultCompileConfig(), req.Circuit, req.Topo)
+			resp := Do(ctx, CompileRequest{Circuit: req.Circuit, Topo: req.Topo})
+			return resp.Result, resp.Err
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -134,15 +135,15 @@ func TestPublicRegisterCompiler(t *testing.T) {
 func TestPublicNewEngineStats(t *testing.T) {
 	eng := NewEngine(EngineOptions{CacheSize: 4})
 	pool := CompilePool{Engine: eng, Workers: 2}
-	jobs := batchJobs(t)
-	for _, r := range pool.Run(context.Background(), jobs) {
+	reqs := batchRequests(t)
+	for _, r := range pool.RunRequests(context.Background(), reqs) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	}
 	st := eng.Stats()
-	if st.Compiled != uint64(len(jobs)) {
-		t.Errorf("compiled = %d, want %d", st.Compiled, len(jobs))
+	if st.Compiled != uint64(len(reqs)) {
+		t.Errorf("compiled = %d, want %d", st.Compiled, len(reqs))
 	}
 	if st.Cache.Entries > 4 {
 		t.Errorf("cache holds %d entries, bound is 4", st.Cache.Entries)

@@ -26,7 +26,11 @@ func main() {
 			cfg := ssync.DefaultCompileConfig()
 			cfg.Mapping.Strategy = ssync.STAMapping
 			cfg.LookaheadGates = 32 // double the default window
-			return ssync.Compile(cfg, req.Circuit, req.Topo)
+			// Delegate to the built-in S-SYNC compiler under that config.
+			// The default engine has no worker bound, so this nested call
+			// cannot wait on a slot the outer compile holds.
+			resp := ssync.Do(ctx, ssync.CompileRequest{Circuit: req.Circuit, Topo: req.Topo, Config: &cfg})
+			return resp.Result, resp.Err
 		})
 	if err != nil {
 		log.Fatal(err)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -17,16 +18,15 @@ func main() {
 	topo := ssync.RacetrackDevice(3, 6)
 
 	// Simulated-annealing first-level mapping (extension beyond the
-	// paper's three strategies), then the standard S-SYNC scheduler.
-	place, err := ssync.AnnealedMapping(
-		ssync.DefaultCompileConfig().Mapping, ssync.DefaultAnnealConfig(), c, topo)
-	if err != nil {
-		log.Fatal(err)
+	// paper's three strategies), then the standard S-SYNC scheduler: the
+	// "ssync-annealed" compiler, under its deterministic default seed.
+	resp := ssync.Do(context.Background(), ssync.CompileRequest{
+		Circuit: c, Topo: topo, Compiler: ssync.SSyncAnnealedCompilerName,
+	})
+	if resp.Err != nil {
+		log.Fatal(resp.Err)
 	}
-	res, err := ssync.CompileWithPlacement(ssync.DefaultCompileConfig(), c, topo, place)
-	if err != nil {
-		log.Fatal(err)
-	}
+	res := resp.Result
 	fmt.Printf("%s on %s: %d shuttles, %d SWAPs\n\n",
 		c.Name, topo.Name, res.Counts.Shuttles, res.Counts.Swaps)
 

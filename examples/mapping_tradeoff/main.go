@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -42,10 +43,11 @@ func main() {
 	} {
 		cfg := ssync.DefaultCompileConfig()
 		cfg.Mapping.Strategy = strat
-		res, err := ssync.Compile(cfg, c, topo)
-		if err != nil {
-			log.Fatal(err)
+		resp := ssync.Do(context.Background(), ssync.CompileRequest{Circuit: c, Topo: topo, Config: &cfg})
+		if resp.Err != nil {
+			log.Fatal(resp.Err)
 		}
+		res := resp.Result
 		m := ssync.Simulate(res.Schedule, topo, ssync.DefaultSimOptions())
 		fmt.Fprintf(w, "%v\t%d\t%d\t%d\t%.3e\t%.3e\n",
 			strat, res.Counts.Shuttles, res.Counts.Swaps,

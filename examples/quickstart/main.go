@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,10 +20,12 @@ func main() {
 
 	// Compile with the paper's default configuration (gathering mapping,
 	// inner weight 0.001, shuttle weight 1, δ = 0.001, m = 2).
-	res, err := ssync.Compile(ssync.DefaultCompileConfig(), c, topo)
-	if err != nil {
-		log.Fatal(err)
+	cfg := ssync.DefaultCompileConfig()
+	resp := ssync.Do(context.Background(), ssync.CompileRequest{Circuit: c, Topo: topo, Config: &cfg})
+	if resp.Err != nil {
+		log.Fatal(resp.Err)
 	}
+	res := resp.Result
 	fmt.Printf("compiled %s: %d shuttles, %d SWAPs inserted, %d ops total\n",
 		c.Name, res.Counts.Shuttles, res.Counts.Swaps, len(res.Schedule.Ops))
 

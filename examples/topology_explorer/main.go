@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -56,10 +57,12 @@ func report(w *tabwriter.Writer, c *ssync.Circuit, topo *ssync.Topology, cap int
 	if topo.TotalCapacity() < c.NumQubits {
 		return
 	}
-	res, err := ssync.Compile(ssync.DefaultCompileConfig(), c, topo)
-	if err != nil {
-		log.Fatal(err)
+	cfg := ssync.DefaultCompileConfig()
+	resp := ssync.Do(context.Background(), ssync.CompileRequest{Circuit: c, Topo: topo, Config: &cfg})
+	if resp.Err != nil {
+		log.Fatal(resp.Err)
 	}
+	res := resp.Result
 	m := ssync.Simulate(res.Schedule, topo, ssync.DefaultSimOptions())
 	fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.3e\t%.3e\n",
 		topo.Name, cap, res.Counts.Shuttles, res.Counts.Swaps, m.ExecutionTime, m.SuccessRate)

@@ -183,7 +183,6 @@ func (r *Router) Close() {
 // unknown paths collapse into "other" so path scans cannot mint label
 // cardinality.
 var clusterRoutes = map[string]bool{
-	"/v1/compile": true, "/v1/batch": true, "/v1/stats": true,
 	"/v2/compile": true, "/v2/batch": true, "/v2/compilers": true,
 	"/v2/passes": true, "/v2/stats": true, "/v2/traces": true,
 }

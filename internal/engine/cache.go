@@ -7,31 +7,3 @@ import "ssync/internal/store"
 // (a hit is a hit whether memory or disk served it); Stats.Results holds
 // the per-tier breakdown.
 type CacheStats = store.LRUStats
-
-// Cache is a content-addressed LRU map from request keys to values —
-// derived artefacts (e.g. simulation metrics) in embedders; the engine's
-// own result cache is the tiered store (internal/store) this type's
-// implementation moved into. Pointer-typed values are shared between all
-// readers and must be treated as read-only. Safe for concurrent use.
-type Cache[V any] struct {
-	lru *store.LRU[V]
-}
-
-// NewCache returns an LRU cache holding at most max values (min 1).
-func NewCache[V any](max int) *Cache[V] {
-	return &Cache[V]{lru: store.NewLRU[V](max)}
-}
-
-// Get returns the cached value for key, marking it most recently used.
-func (c *Cache[V]) Get(key Key) (V, bool) { return c.lru.Get(store.Key(key)) }
-
-// Put stores a value under key, evicting the least recently used entry
-// when over capacity. Storing an existing key refreshes its value and
-// recency.
-func (c *Cache[V]) Put(key Key, val V) { c.lru.Put(store.Key(key), val) }
-
-// Len returns the current entry count.
-func (c *Cache[V]) Len() int { return c.lru.Len() }
-
-// Stats snapshots the cache counters.
-func (c *Cache[V]) Stats() CacheStats { return c.lru.Stats() }

@@ -5,17 +5,22 @@ import (
 	"testing"
 
 	"ssync/internal/core"
+	"ssync/internal/store"
 )
 
-func keyOf(b byte) Key {
-	var k Key
+// The engine's in-memory caches — the result cache's front tier and
+// RaceOptions.Metrics — are store.LRUs reporting CacheStats; these tests
+// pin the LRU contract they rely on.
+
+func keyOf(b byte) store.Key {
+	var k store.Key
 	k[0] = b
 	return k
 }
 
 func TestCacheLRUEvictionBounds(t *testing.T) {
 	const max = 4
-	c := NewCache[*core.Result](max)
+	c := store.NewLRU[*core.Result](max)
 	for i := 0; i < 3*max; i++ {
 		c.Put(keyOf(byte(i)), &core.Result{})
 		if c.Len() > max {
@@ -39,7 +44,7 @@ func TestCacheLRUEvictionBounds(t *testing.T) {
 }
 
 func TestCacheRecencyOrder(t *testing.T) {
-	c := NewCache[*core.Result](2)
+	c := store.NewLRU[*core.Result](2)
 	c.Put(keyOf(1), &core.Result{})
 	c.Put(keyOf(2), &core.Result{})
 	// Touch 1 so 2 becomes the eviction victim.
@@ -56,7 +61,7 @@ func TestCacheRecencyOrder(t *testing.T) {
 }
 
 func TestCachePutRefreshesExisting(t *testing.T) {
-	c := NewCache[*core.Result](2)
+	c := store.NewLRU[*core.Result](2)
 	first, second := &core.Result{}, &core.Result{Iterations: 1}
 	c.Put(keyOf(1), first)
 	c.Put(keyOf(1), second)
@@ -70,7 +75,7 @@ func TestCachePutRefreshesExisting(t *testing.T) {
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
-	c := NewCache[*core.Result](8)
+	c := store.NewLRU[*core.Result](8)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -7,55 +7,40 @@ import (
 	"time"
 
 	"ssync/internal/core"
-	"ssync/internal/device"
 	"ssync/internal/mapping"
 	"ssync/internal/qasm"
-	"ssync/internal/workloads"
 )
-
-func testJob(t testing.TB, bench, topoName string, capacity int, comp Compiler) Job {
-	t.Helper()
-	c, err := workloads.Build(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, err := device.ByName(topoName, capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Job{Label: bench + "/" + topoName + "/" + string(comp), Circuit: c, Topo: topo, Compiler: comp}
-}
 
 // testGrid is the quick workload×topology×compiler grid shared by the
 // batch tests and benchmarks.
-func testGrid(t testing.TB) []Job {
-	var jobs []Job
+func testGrid(t testing.TB) []Request {
+	var reqs []Request
 	for _, bench := range []string{"QFT_12", "Adder_4", "BV_12"} {
 		for _, topoName := range []string{"S-4", "G-2x2"} {
-			for _, comp := range []Compiler{Murali, Dai, SSync} {
-				jobs = append(jobs, testJob(t, bench, topoName, 8, comp))
+			for _, comp := range []string{CompilerMurali, CompilerDai, CompilerSSync} {
+				reqs = append(reqs, testRequest(t, bench, topoName, 8, comp))
 			}
 		}
 	}
-	return jobs
+	return reqs
 }
 
-func TestJobKeyStableAcrossReparse(t *testing.T) {
-	j := testJob(t, "QFT_12", "G-2x2", 8, SSync)
-	k1, err := JobKey(j)
+func TestRequestKeyStableAcrossReparse(t *testing.T) {
+	req := testRequest(t, "QFT_12", "G-2x2", 8, CompilerSSync)
+	k1, err := RequestKey(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A gate-order-preserving round trip through the canonical QASM form
 	// must land on the same key: content addressing may not depend on
 	// which *Circuit object carries the program.
-	reparsed, err := qasm.Parse(qasm.Write(j.Circuit))
+	reparsed, err := qasm.Parse(qasm.Write(req.Circuit))
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2 := j
-	j2.Circuit = reparsed
-	k2, err := JobKey(j2)
+	r2 := req
+	r2.Circuit = reparsed
+	k2, err := RequestKey(r2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +53,9 @@ func TestJobKeyStableAcrossReparse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j3 := j
-	j3.Circuit = again
-	k3, err := JobKey(j3)
+	r3 := req
+	r3.Circuit = again
+	k3, err := RequestKey(r3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,25 +64,25 @@ func TestJobKeyStableAcrossReparse(t *testing.T) {
 	}
 }
 
-func TestJobKeySeparatesRequests(t *testing.T) {
-	base := testJob(t, "QFT_12", "G-2x2", 8, SSync)
-	baseKey, err := JobKey(base)
+func TestRequestKeySeparatesRequests(t *testing.T) {
+	base := testRequest(t, "QFT_12", "G-2x2", 8, CompilerSSync)
+	baseKey, err := RequestKey(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	variants := map[string]Job{
-		"different circuit":  testJob(t, "BV_12", "G-2x2", 8, SSync),
-		"different topology": testJob(t, "QFT_12", "S-4", 8, SSync),
-		"different capacity": testJob(t, "QFT_12", "G-2x2", 9, SSync),
-		"different compiler": testJob(t, "QFT_12", "G-2x2", 8, Dai),
+	variants := map[string]Request{
+		"different circuit":  testRequest(t, "BV_12", "G-2x2", 8, CompilerSSync),
+		"different topology": testRequest(t, "QFT_12", "S-4", 8, CompilerSSync),
+		"different capacity": testRequest(t, "QFT_12", "G-2x2", 9, CompilerSSync),
+		"different compiler": testRequest(t, "QFT_12", "G-2x2", 8, CompilerDai),
 	}
 	cfg := core.DefaultConfig()
 	cfg.Mapping.Strategy = mapping.EvenDivided
 	withCfg := base
 	withCfg.Config = &cfg
 	variants["different config"] = withCfg
-	for name, j := range variants {
-		k, err := JobKey(j)
+	for name, req := range variants {
+		k, err := RequestKey(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,13 +91,13 @@ func TestJobKeySeparatesRequests(t *testing.T) {
 		}
 	}
 
-	// The zero compiler is an alias for SSync, and an explicit default
+	// The zero compiler is an alias for "ssync", and an explicit default
 	// config is the same request as a nil config.
 	alias := base
 	alias.Compiler = ""
 	defCfg := core.DefaultConfig()
 	alias.Config = &defCfg
-	k, err := JobKey(alias)
+	k, err := RequestKey(alias)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,48 +109,48 @@ func TestJobKeySeparatesRequests(t *testing.T) {
 	relabeled := base
 	relabeled.Label = "other"
 	relabeled.Timeout = time.Second
-	if k, _ := JobKey(relabeled); k != baseKey {
+	if k, _ := RequestKey(relabeled); k != baseKey {
 		t.Errorf("label/timeout changed the key")
 	}
 }
 
 func TestCompileMatchesDirectPath(t *testing.T) {
 	eng := New(Options{})
-	job := testJob(t, "QFT_12", "G-2x2", 8, SSync)
-	got := eng.Compile(context.Background(), job)
+	req := testRequest(t, "QFT_12", "G-2x2", 8, CompilerSSync)
+	got := eng.Do(context.Background(), req)
 	if got.Err != nil {
 		t.Fatal(got.Err)
 	}
-	want, err := core.Compile(core.DefaultConfig(), job.Circuit, job.Topo)
+	want, err := core.Compile(core.DefaultConfig(), req.Circuit, req.Topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Res.Schedule, want.Schedule) {
+	if !reflect.DeepEqual(got.Result.Schedule, want.Schedule) {
 		t.Error("engine schedule differs from direct core.Compile")
 	}
-	if got.Res.Counts != want.Counts {
-		t.Errorf("counts differ: %+v vs %+v", got.Res.Counts, want.Counts)
+	if got.Result.Counts != want.Counts {
+		t.Errorf("counts differ: %+v vs %+v", got.Result.Counts, want.Counts)
 	}
 }
 
 func TestCompileCacheRoundTrip(t *testing.T) {
 	eng := New(Options{})
-	job := testJob(t, "Adder_4", "S-4", 8, SSync)
-	first := eng.Compile(context.Background(), job)
+	req := testRequest(t, "Adder_4", "S-4", 8, CompilerSSync)
+	first := eng.Do(context.Background(), req)
 	if first.Err != nil {
 		t.Fatal(first.Err)
 	}
 	if first.CacheHit {
 		t.Error("first compile reported a cache hit")
 	}
-	second := eng.Compile(context.Background(), job)
+	second := eng.Do(context.Background(), req)
 	if second.Err != nil {
 		t.Fatal(second.Err)
 	}
 	if !second.CacheHit {
 		t.Error("second identical compile missed the cache")
 	}
-	if second.Res != first.Res {
+	if second.Result != first.Result {
 		t.Error("cache hit returned a different result object")
 	}
 	st := eng.Stats()
@@ -176,8 +161,8 @@ func TestCompileCacheRoundTrip(t *testing.T) {
 
 func TestCompileUnknownCompiler(t *testing.T) {
 	eng := New(Options{})
-	job := testJob(t, "BV_12", "S-4", 8, "qiskit")
-	if res := eng.Compile(context.Background(), job); res.Err == nil {
+	req := testRequest(t, "BV_12", "S-4", 8, "qiskit")
+	if res := eng.Do(context.Background(), req); res.Err == nil {
 		t.Fatal("unknown compiler accepted")
 	}
 	st := eng.Stats()
@@ -191,15 +176,15 @@ func TestCompileUnknownCompiler(t *testing.T) {
 
 func TestCompileTimeout(t *testing.T) {
 	eng := New(Options{})
-	job := testJob(t, "QFT_12", "G-2x2", 8, SSync)
-	job.Timeout = time.Nanosecond
-	res := eng.Compile(context.Background(), job)
+	req := testRequest(t, "QFT_12", "G-2x2", 8, CompilerSSync)
+	req.Timeout = time.Nanosecond
+	res := eng.Do(context.Background(), req)
 	if res.Err == nil {
-		t.Fatal("1ns timeout did not fail the job")
+		t.Fatal("1ns timeout did not fail the request")
 	}
 	// A timed-out result must never poison the cache.
-	job.Timeout = 0
-	if again := eng.Compile(context.Background(), job); again.Err != nil || again.CacheHit {
+	req.Timeout = 0
+	if again := eng.Do(context.Background(), req); again.Err != nil || again.CacheHit {
 		t.Errorf("post-timeout compile: err=%v hit=%v, want clean miss", again.Err, again.CacheHit)
 	}
 }
@@ -208,8 +193,8 @@ func TestCompileCancelledContext(t *testing.T) {
 	eng := New(Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := eng.Compile(ctx, testJob(t, "QFT_12", "G-2x2", 8, SSync))
+	res := eng.Do(ctx, testRequest(t, "QFT_12", "G-2x2", 8, CompilerSSync))
 	if res.Err == nil {
-		t.Fatal("cancelled context did not fail the job")
+		t.Fatal("cancelled context did not fail the request")
 	}
 }

@@ -92,36 +92,12 @@ func (p *Pool) RunRequests(ctx context.Context, reqs []Request) []Response {
 	return results
 }
 
-// Run compiles every legacy-shaped job and returns one JobResult per
-// job, index-aligned with the input.
-//
-// Deprecated: use RunRequests.
-func (p *Pool) Run(ctx context.Context, jobs []Job) []JobResult {
-	reqs := make([]Request, len(jobs))
-	for i, j := range jobs {
-		reqs[i] = j.Request()
-	}
-	responses := p.RunRequests(ctx, reqs)
-	results := make([]JobResult, len(responses))
-	for i, r := range responses {
-		results[i] = jobResult(r)
-	}
-	return results
-}
-
-// failer is satisfied by both result shapes so FirstError spans the
-// legacy and request APIs.
-type failer interface{ failure() error }
-
-func (r Response) failure() error  { return r.Err }
-func (r JobResult) failure() error { return r.Err }
-
-// FirstError returns the lowest-index error in a batch of responses (or
-// legacy job results), or nil.
-func FirstError[R failer](results []R) error {
+// FirstError returns the lowest-index error in a batch of responses, or
+// nil.
+func FirstError(results []Response) error {
 	for _, r := range results {
-		if err := r.failure(); err != nil {
-			return err
+		if r.Err != nil {
+			return r.Err
 		}
 	}
 	return nil

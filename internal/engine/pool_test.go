@@ -10,43 +10,43 @@ import (
 // stripTimes zeroes the wall-clock fields so schedules can be compared
 // structurally across runs (pass names and gate deltas stay — they are
 // deterministic).
-func stripTimes(results []JobResult) {
+func stripTimes(results []Response) {
 	for _, r := range results {
-		if r.Res != nil {
-			r.Res.CompileTime = 0
-			for i := range r.Res.PassTimings {
-				r.Res.PassTimings[i].Duration = 0
+		if r.Result != nil {
+			r.Result.CompileTime = 0
+			for i := range r.Result.PassTimings {
+				r.Result.PassTimings[i].Duration = 0
 			}
 		}
 	}
 }
 
 func TestPoolMatchesSerialAndIsDeterministic(t *testing.T) {
-	jobs := testGrid(t)
+	reqs := testGrid(t)
 	serialEng := New(Options{CacheSize: -1})
-	serial := make([]JobResult, len(jobs))
-	for i, j := range jobs {
-		serial[i] = serialEng.Compile(context.Background(), j)
+	serial := make([]Response, len(reqs))
+	for i, req := range reqs {
+		serial[i] = serialEng.Do(context.Background(), req)
 	}
 	stripTimes(serial)
 
 	for _, workers := range []int{1, 4, 8} {
 		pool := Pool{Engine: New(Options{CacheSize: -1}), Workers: workers}
-		got := pool.Run(context.Background(), jobs)
+		got := pool.RunRequests(context.Background(), reqs)
 		stripTimes(got)
-		if len(got) != len(jobs) {
-			t.Fatalf("workers=%d: %d results for %d jobs", workers, len(got), len(jobs))
+		if len(got) != len(reqs) {
+			t.Fatalf("workers=%d: %d results for %d reqs", workers, len(got), len(reqs))
 		}
 		for i := range got {
 			if got[i].Err != nil {
-				t.Fatalf("workers=%d job %s: %v", workers, jobs[i].Label, got[i].Err)
+				t.Fatalf("workers=%d request %s: %v", workers, reqs[i].Label, got[i].Err)
 			}
-			if got[i].Label != jobs[i].Label {
+			if got[i].Label != reqs[i].Label {
 				t.Fatalf("workers=%d: result %d carries label %q, want %q (ordering broken)",
-					workers, i, got[i].Label, jobs[i].Label)
+					workers, i, got[i].Label, reqs[i].Label)
 			}
-			if !reflect.DeepEqual(got[i].Res, serial[i].Res) {
-				t.Errorf("workers=%d job %s: parallel result differs from serial", workers, jobs[i].Label)
+			if !reflect.DeepEqual(got[i].Result, serial[i].Result) {
+				t.Errorf("workers=%d request %s: parallel result differs from serial", workers, reqs[i].Label)
 			}
 		}
 	}
@@ -56,12 +56,12 @@ func TestPoolConcurrentRuns(t *testing.T) {
 	// Several Run calls against one shared engine at once; exercised
 	// under -race in CI.
 	eng := New(Options{})
-	jobs := testGrid(t)
+	reqs := testGrid(t)
 	done := make(chan error, 3)
 	for g := 0; g < 3; g++ {
 		go func() {
 			pool := Pool{Engine: eng, Workers: 4}
-			done <- FirstError(pool.Run(context.Background(), jobs))
+			done <- FirstError(pool.RunRequests(context.Background(), reqs))
 		}()
 	}
 	for g := 0; g < 3; g++ {
@@ -74,33 +74,33 @@ func TestPoolConcurrentRuns(t *testing.T) {
 func TestPoolRepeatedBatchServedFromCache(t *testing.T) {
 	eng := New(Options{})
 	pool := Pool{Engine: eng, Workers: 4}
-	jobs := testGrid(t)
+	reqs := testGrid(t)
 
-	first := pool.Run(context.Background(), jobs)
+	first := pool.RunRequests(context.Background(), reqs)
 	if err := FirstError(first); err != nil {
 		t.Fatal(err)
 	}
 	afterFirst := eng.Stats()
 
-	second := pool.Run(context.Background(), jobs)
+	second := pool.RunRequests(context.Background(), reqs)
 	if err := FirstError(second); err != nil {
 		t.Fatal(err)
 	}
 	st := eng.Stats()
 
 	hits := st.Cache.Hits - afterFirst.Cache.Hits
-	if need := (9 * len(jobs)) / 10; int(hits) < need {
-		t.Errorf("repeated batch: %d/%d served from cache, want >= %d", hits, len(jobs), need)
+	if need := (9 * len(reqs)) / 10; int(hits) < need {
+		t.Errorf("repeated batch: %d/%d served from cache, want >= %d", hits, len(reqs), need)
 	}
 	if st.Compiled != afterFirst.Compiled {
-		t.Errorf("repeated batch recompiled %d jobs", st.Compiled-afterFirst.Compiled)
+		t.Errorf("repeated batch recompiled %d reqs", st.Compiled-afterFirst.Compiled)
 	}
 	for i := range second {
 		if !second[i].CacheHit {
-			t.Errorf("job %s missed the cache on the repeat run", jobs[i].Label)
+			t.Errorf("request %s missed the cache on the repeat run", reqs[i].Label)
 		}
-		if second[i].Res != first[i].Res {
-			t.Errorf("job %s: repeat run returned a different result object", jobs[i].Label)
+		if second[i].Result != first[i].Result {
+			t.Errorf("request %s: repeat run returned a different result object", reqs[i].Label)
 		}
 	}
 }
@@ -109,30 +109,30 @@ func TestPoolCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pool := Pool{Engine: New(Options{CacheSize: -1}), Workers: 2}
-	results := pool.Run(ctx, testGrid(t))
+	results := pool.RunRequests(ctx, testGrid(t))
 	for i, r := range results {
 		if r.Err == nil {
-			t.Fatalf("job %d succeeded under a cancelled context", i)
+			t.Fatalf("request %d succeeded under a cancelled context", i)
 		}
 		if !errors.Is(r.Err, context.Canceled) {
-			t.Fatalf("job %d: err = %v, want context.Canceled", i, r.Err)
+			t.Fatalf("request %d: err = %v, want context.Canceled", i, r.Err)
 		}
 	}
 }
 
 func TestPoolSharedWorkerBudgetBoundConcurrency(t *testing.T) {
 	// Two pools share one worker-bounded (1-slot) engine; with
-	// instrumentable jobs out of reach (compilers are opaque), assert
+	// instrumentable reqs out of reach (compilers are opaque), assert
 	// the observable contract: everything completes correctly and the
 	// admission scheduler ends quiescent — no leaked slots, no queued
 	// ghosts.
 	eng := New(Options{CacheSize: -1, Workers: 1})
-	jobs := testGrid(t)
+	reqs := testGrid(t)
 	done := make(chan error, 2)
 	for g := 0; g < 2; g++ {
 		go func() {
 			pool := Pool{Engine: eng, Workers: 4}
-			done <- FirstError(pool.Run(context.Background(), jobs))
+			done <- FirstError(pool.RunRequests(context.Background(), reqs))
 		}()
 	}
 	for g := 0; g < 2; g++ {
@@ -156,16 +156,16 @@ func TestPoolSharedWorkerBudgetBoundConcurrency(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pool := Pool{Engine: eng, Workers: 2}
-	for i, r := range pool.Run(ctx, jobs) {
+	for i, r := range pool.RunRequests(ctx, reqs) {
 		if !errors.Is(r.Err, context.Canceled) {
-			t.Fatalf("job %d: err = %v, want context.Canceled", i, r.Err)
+			t.Fatalf("request %d: err = %v, want context.Canceled", i, r.Err)
 		}
 	}
 }
 
 func TestPoolEmptyBatch(t *testing.T) {
 	pool := Pool{}
-	if got := pool.Run(context.Background(), nil); len(got) != 0 {
+	if got := pool.RunRequests(context.Background(), nil); len(got) != 0 {
 		t.Fatalf("empty batch produced %d results", len(got))
 	}
 }

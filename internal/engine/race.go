@@ -11,13 +11,14 @@ import (
 	"ssync/internal/mapping"
 	"ssync/internal/sched"
 	"ssync/internal/sim"
+	"ssync/internal/store"
 )
 
 // Variant is one entrant in a compilation portfolio: a registered
 // compiler plus optional configuration.
 type Variant struct {
 	Name     string
-	Compiler Compiler
+	Compiler string
 	Config   *core.Config
 	// Anneal tunes the "ssync-annealed" compiler; nil means
 	// mapping.DefaultAnnealConfig() (deterministic seed).
@@ -30,7 +31,7 @@ func (v Variant) request(c *circuit.Circuit, topo *device.Topology) Request {
 		Label:    v.Name,
 		Circuit:  c,
 		Topo:     topo,
-		Compiler: string(v.Compiler),
+		Compiler: v.Compiler,
 		Config:   v.Config,
 		Anneal:   v.Anneal,
 	}
@@ -50,10 +51,10 @@ func DefaultPortfolio() []Variant {
 	commuting.CommutationAware = true
 	annealed := mapping.DefaultAnnealConfig()
 	return []Variant{
-		{Name: "ssync/gathering", Compiler: SSync, Config: withStrategy(mapping.Gathering)},
-		{Name: "ssync/even-divided", Compiler: SSync, Config: withStrategy(mapping.EvenDivided)},
-		{Name: "ssync/sta", Compiler: SSync, Config: withStrategy(mapping.STA)},
-		{Name: "ssync/commutation", Compiler: SSync, Config: &commuting},
+		{Name: "ssync/gathering", Compiler: CompilerSSync, Config: withStrategy(mapping.Gathering)},
+		{Name: "ssync/even-divided", Compiler: CompilerSSync, Config: withStrategy(mapping.EvenDivided)},
+		{Name: "ssync/sta", Compiler: CompilerSSync, Config: withStrategy(mapping.STA)},
+		{Name: "ssync/commutation", Compiler: CompilerSSync, Config: &commuting},
 		{Name: "ssync/annealed", Compiler: CompilerSSyncAnnealed, Anneal: &annealed},
 	}
 }
@@ -90,7 +91,7 @@ type RaceOptions struct {
 	// request key, so re-racing cached compiles skips simulation too. The
 	// caller must dedicate the cache to one simulation configuration:
 	// keys do not cover Sim.
-	Metrics *Cache[sim.Metrics]
+	Metrics *store.LRU[sim.Metrics]
 }
 
 // Race compiles c for topo under every variant concurrently and returns
@@ -126,12 +127,12 @@ func (e *Engine) Race(ctx context.Context, c *circuit.Circuit, topo *device.Topo
 		useCache := opt.Metrics != nil && r.Key != Key{}
 		m, cached := sim.Metrics{}, false
 		if useCache {
-			m, cached = opt.Metrics.Get(r.Key)
+			m, cached = opt.Metrics.Get(store.Key(r.Key))
 		}
 		if !cached {
 			m = sim.Run(r.Result.Schedule, topo, simOpt)
 			if useCache {
-				opt.Metrics.Put(r.Key, m)
+				opt.Metrics.Put(store.Key(r.Key), m)
 			}
 		}
 		out.Metrics[i] = m

@@ -34,7 +34,7 @@ func RunCSV(name string, opt Options) (string, error) {
 		header = []string{"application", "topology", "compiler", "shuttles", "swaps", "success", "exec_time_us", "compile_time_s_concurrent"}
 		for _, c := range cells {
 			records = append(records, []string{
-				c.App, c.Topo, string(c.Compiler),
+				c.App, c.Topo, c.Compiler,
 				itoa(c.Shuttles), itoa(c.Swaps),
 				ftoa(c.Success), ftoa(c.ExecTime), ftoa(c.CompileTime.Seconds()),
 			})
@@ -85,7 +85,7 @@ func RunCSV(name string, opt Options) (string, error) {
 		}
 		header = []string{"application", "size", "compiler", "compile_time_s"}
 		for _, r := range rows {
-			records = append(records, []string{r.App, itoa(r.Size), string(r.Compiler), ftoa(r.Compile.Seconds())})
+			records = append(records, []string{r.App, itoa(r.Size), r.Compiler, ftoa(r.Compile.Seconds())})
 		}
 	case "fig16":
 		_, rows, err := Fig16(opt)

@@ -23,15 +23,15 @@ import (
 	"ssync/internal/workloads"
 )
 
-// CompilerName identifies one of the three evaluated compilers; it is
-// the engine's compiler identifier, so the experiment grid and the
-// batch/service layers share one dispatch.
-type CompilerName = engine.Compiler
+// CompilerName identifies one of the three evaluated compilers by its
+// engine registry name, so the experiment grid and the batch/service
+// layers share one dispatch.
+type CompilerName = string
 
 const (
-	Murali = engine.Murali
-	Dai    = engine.Dai
-	SSync  = engine.SSync
+	Murali = engine.CompilerMurali
+	Dai    = engine.CompilerDai
+	SSync  = engine.CompilerSSync
 )
 
 // Compilers lists the evaluation order used in the figures.
@@ -40,7 +40,7 @@ var Compilers = []CompilerName{Murali, Dai, SSync}
 // CompileWith dispatches to the named compiler with default configuration
 // through the engine's registry.
 func CompileWith(name CompilerName, c *circuit.Circuit, topo *device.Topology) (*core.Result, error) {
-	return engine.Direct(engine.Request{Circuit: c, Topo: topo, Compiler: string(name)})
+	return engine.Direct(engine.Request{Circuit: c, Topo: topo, Compiler: name})
 }
 
 // Options scales the experiments: Quick shrinks workloads and sweeps to
@@ -163,7 +163,7 @@ func comparisonRequests(opt Options) ([]engine.Request, error) {
 					Label:    app,
 					Circuit:  c,
 					Topo:     topo,
-					Compiler: string(comp),
+					Compiler: comp,
 				})
 			}
 		}
@@ -192,7 +192,7 @@ func comparison(opt Options) ([]Cell, error) {
 		if r.Err != nil {
 			return nil, fmt.Errorf("exp: %s on %s with %s: %w", req.Label, req.Topo.Name, req.Compiler, r.Err)
 		}
-		cells = append(cells, cellFromResult(CompilerName(r.Compiler), req.Label, req.Topo, r.Result))
+		cells = append(cells, cellFromResult(r.Compiler, req.Label, req.Topo, r.Result))
 	}
 	return cells, nil
 }
@@ -206,7 +206,7 @@ func comparisonSerial(opt Options) ([]Cell, error) {
 	}
 	var cells []Cell
 	for _, req := range reqs {
-		cell, err := runCell(CompilerName(req.Compiler), req.Label, req.Circuit, req.Topo)
+		cell, err := runCell(req.Compiler, req.Label, req.Circuit, req.Topo)
 		if err != nil {
 			return nil, err
 		}

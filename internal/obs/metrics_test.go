@@ -58,27 +58,27 @@ func checkExposition(t *testing.T, text string) {
 func TestExpositionValid(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_requests_total", "Requests served.", "route", "code")
-	c.With("/v1/compile", "200").Inc()
-	c.With("/v1/compile", "400").Add(3)
+	c.With("/v2/compile", "200").Inc()
+	c.With("/v2/compile", "400").Add(3)
 	g := r.Gauge("test_inflight", "In-flight requests.")
 	g.With().Set(2)
 	h := r.Histogram("test_latency_seconds", "Latency.", nil, "route")
-	h.Observe(0.003, "/v1/compile")
-	h.Observe(0.2, "/v1/compile")
-	h.Observe(99, "/v1/compile")
+	h.Observe(0.003, "/v2/compile")
+	h.Observe(0.2, "/v2/compile")
+	h.Observe(99, "/v2/compile")
 
 	text := expose(t, r)
 	checkExposition(t, text)
 
 	for _, want := range []string{
 		"# TYPE test_requests_total counter",
-		`test_requests_total{route="/v1/compile",code="200"} 1`,
-		`test_requests_total{route="/v1/compile",code="400"} 3`,
+		`test_requests_total{route="/v2/compile",code="200"} 1`,
+		`test_requests_total{route="/v2/compile",code="400"} 3`,
 		"# TYPE test_inflight gauge",
 		"test_inflight 2",
 		"# TYPE test_latency_seconds histogram",
-		`test_latency_seconds_bucket{route="/v1/compile",le="+Inf"} 3`,
-		`test_latency_seconds_count{route="/v1/compile"} 3`,
+		`test_latency_seconds_bucket{route="/v2/compile",le="+Inf"} 3`,
+		`test_latency_seconds_count{route="/v2/compile"} 3`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q\n%s", want, text)

@@ -172,29 +172,6 @@ const (
 // DefaultCompileConfig returns the paper's benchmark configuration.
 func DefaultCompileConfig() CompileConfig { return core.DefaultConfig() }
 
-// Compile schedules a circuit onto a QCCD device with S-SYNC.
-//
-// Deprecated: use Do (or Engine.Do) with a CompileRequest, which adds
-// content-addressed caching, single-flight coalescing and registry
-// dispatch. Compile remains as a direct, uncached wrapper.
-func Compile(cfg CompileConfig, c *Circuit, topo *Topology) (*CompileResult, error) {
-	return core.Compile(cfg, c, topo)
-}
-
-// CompileMurali schedules with the Murali et al. (ISCA 2020) baseline.
-//
-// Deprecated: use Do with CompileRequest{Compiler: "murali"}.
-func CompileMurali(c *Circuit, topo *Topology) (*CompileResult, error) {
-	return engine.Direct(engine.Request{Circuit: c, Topo: topo, Compiler: engine.CompilerMurali})
-}
-
-// CompileDai schedules with the Dai et al. (IEEE TQE 2024) baseline.
-//
-// Deprecated: use Do with CompileRequest{Compiler: "dai"}.
-func CompileDai(c *Circuit, topo *Topology) (*CompileResult, error) {
-	return engine.Direct(engine.Request{Circuit: c, Topo: topo, Compiler: engine.CompilerDai})
-}
-
 // InitialMapping computes an initial placement without compiling.
 func InitialMapping(cfg MappingConfig, c *Circuit, topo *Topology) (*Placement, error) {
 	return mapping.Initial(cfg, c, topo)
@@ -435,16 +412,6 @@ func BuiltinPipeline(name string) ([]PassSpec, bool) {
 	return pass.BuiltinPipeline(name)
 }
 
-// CompileJob is one batch-compilation request.
-//
-// Deprecated: use CompileRequest.
-type CompileJob = engine.Job
-
-// CompileJobResult pairs a CompileJob with its outcome.
-//
-// Deprecated: use CompileResponse.
-type CompileJobResult = engine.JobResult
-
 // CompilePool fans batches of requests across a fixed worker set.
 type CompilePool = engine.Pool
 
@@ -453,21 +420,6 @@ type PortfolioVariant = engine.Variant
 
 // PortfolioOutcome reports a finished portfolio race.
 type PortfolioOutcome = engine.RaceOutcome
-
-// CompilerID selects a compiler for engine jobs.
-//
-// Deprecated: compilers are addressed by registry name (a plain string)
-// in CompileRequest.Compiler.
-type CompilerID = engine.Compiler
-
-// Engine compiler identifiers.
-//
-// Deprecated: use the *CompilerName string constants with CompileRequest.
-const (
-	MuraliCompiler = engine.Murali
-	DaiCompiler    = engine.Dai
-	SSyncCompiler  = engine.SSync
-)
 
 // NewEngine returns a concurrent compilation engine with a tiered
 // content-addressed result cache (in-memory LRU, optionally over a
@@ -501,30 +453,18 @@ type DiskTierStats = store.DiskStats
 // when EngineOptions.StageCacheSize is set.
 type PassSnapshot = pass.Snapshot
 
-// defaultEngine backs the package-level batch/portfolio helpers so
-// repeated calls share one result cache.
+// defaultEngine backs the package-level Do, batch and portfolio helpers
+// so repeated calls share one result cache.
 var (
 	defaultEngineOnce sync.Once
 	defaultEngine     *Engine
 )
 
 // DefaultEngine returns the lazily-created process-wide engine used by
-// CompileBatch and CompilePortfolio.
+// Do, CompileRequests and CompilePortfolio.
 func DefaultEngine() *Engine {
 	defaultEngineOnce.Do(func() { defaultEngine = engine.New(engine.Options{}) })
 	return defaultEngine
-}
-
-// CompileBatch fans jobs across GOMAXPROCS workers of the process-wide
-// engine, returning results index-aligned with the input. Repeated
-// identical jobs are served from the shared result cache.
-//
-// Deprecated: build CompileRequests and run them through
-// CompilePool.RunRequests (or call Do per request); this wrapper
-// converts and stays for compatibility.
-func CompileBatch(ctx context.Context, jobs []CompileJob) []CompileJobResult {
-	pool := engine.Pool{Engine: DefaultEngine()}
-	return pool.Run(ctx, jobs)
 }
 
 // CompileRequests fans requests across GOMAXPROCS workers of the
@@ -539,10 +479,7 @@ func CompileRequests(ctx context.Context, reqs []CompileRequest) []CompileRespon
 // CompilePortfolio races several strategies for one circuit concurrently
 // on the process-wide engine and returns the outcome with the best
 // schedule (highest success rate, then fewest shuttles). A nil variants
-// slice races engine.DefaultPortfolio().
-//
-// Deprecated: call Engine.Race on an engine you control (DefaultEngine()
-// works); this wrapper stays for compatibility.
+// slice races DefaultPortfolio().
 func CompilePortfolio(ctx context.Context, c *Circuit, topo *Topology, variants []PortfolioVariant) (*PortfolioOutcome, error) {
 	return DefaultEngine().Race(ctx, c, topo, variants, engine.RaceOptions{})
 }
@@ -597,18 +534,6 @@ func DefaultAnnealConfig() AnnealConfig { return mapping.DefaultAnnealConfig() }
 // first-level strategies) plus the standard second-level arrangement.
 func AnnealedMapping(cfg MappingConfig, ann AnnealConfig, c *Circuit, topo *Topology) (*Placement, error) {
 	return mapping.InitialAnnealed(cfg, ann, c, topo)
-}
-
-// CompileWithPlacement runs the S-SYNC scheduler from a caller-supplied
-// initial placement (e.g. one produced by AnnealedMapping). The circuit
-// must already be in the native basis; the placement is consumed.
-//
-// Deprecated: for annealed placements use Do with
-// CompileRequest{Compiler: "ssync-annealed"}, which is cacheable under
-// its deterministic seed; register a CompilerFunc for other custom
-// placement pipelines. This wrapper stays for compatibility.
-func CompileWithPlacement(cfg CompileConfig, c *Circuit, topo *Topology, p *Placement) (*CompileResult, error) {
-	return core.CompileWithPlacement(cfg, c, topo, p)
 }
 
 // ---- access control & quotas ----

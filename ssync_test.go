@@ -1,11 +1,23 @@
 package ssync
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 // Tests of the public API surface: everything a downstream user touches.
+
+// compile runs one request through the package-level Do, failing the
+// test on a compile error.
+func compile(t *testing.T, req CompileRequest) *CompileResult {
+	t.Helper()
+	resp := Do(context.Background(), req)
+	if resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	return resp.Result
+}
 
 func TestPublicEndToEnd(t *testing.T) {
 	c := QFT(10)
@@ -13,10 +25,7 @@ func TestPublicEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Compile(DefaultCompileConfig(), c, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := compile(t, CompileRequest{Circuit: c, Topo: topo})
 	m := Simulate(res.Schedule, topo, DefaultSimOptions())
 	if m.SuccessRate <= 0 || m.SuccessRate >= 1 {
 		t.Errorf("success rate = %g", m.SuccessRate)
@@ -83,14 +92,8 @@ func TestPublicDevices(t *testing.T) {
 func TestPublicBaselines(t *testing.T) {
 	c := QFT(8)
 	topo := LinearDevice(2, 6)
-	for name, compile := range map[string]func(*Circuit, *Topology) (*CompileResult, error){
-		"murali": CompileMurali,
-		"dai":    CompileDai,
-	} {
-		res, err := compile(c, topo)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	for _, name := range []string{MuraliCompilerName, DaiCompilerName} {
+		res := compile(t, CompileRequest{Circuit: c, Topo: topo, Compiler: name})
 		if res.Counts.TwoQubit != c.TwoQubitCount() {
 			t.Errorf("%s executed %d/%d gates", name, res.Counts.TwoQubit, c.TwoQubitCount())
 		}
@@ -138,10 +141,7 @@ func TestPublicExperiments(t *testing.T) {
 func TestPublicGateModels(t *testing.T) {
 	c := QFT(8)
 	topo := LinearDevice(2, 6)
-	res, err := Compile(DefaultCompileConfig(), c, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := compile(t, CompileRequest{Circuit: c, Topo: topo})
 	prev := -1.0
 	for _, model := range []GateModel{FMGate, PMGate, AM1Gate, AM2Gate} {
 		opt := DefaultSimOptions()
@@ -168,10 +168,14 @@ func TestPublicExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CompileWithPlacement(DefaultCompileConfig(), c.DecomposeToBasis(), topo, place)
-	if err != nil {
-		t.Fatal(err)
+	ions := 0
+	for tr := 0; tr < topo.NumTraps(); tr++ {
+		ions += place.IonCount(tr)
 	}
+	if ions != c.NumQubits {
+		t.Errorf("annealed placement holds %d ions, want %d", ions, c.NumQubits)
+	}
+	res := compile(t, CompileRequest{Circuit: c, Topo: topo, Compiler: SSyncAnnealedCompilerName})
 
 	tl := BuildTimeline(res.Schedule, DefaultNoiseParams())
 	if tl.Makespan <= 0 {
@@ -219,10 +223,7 @@ func TestPublicCommutationAndHeatFlags(t *testing.T) {
 	} {
 		cfg := DefaultCompileConfig()
 		mut(&cfg)
-		res, err := Compile(cfg, c, topo)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := compile(t, CompileRequest{Circuit: c, Topo: topo, Config: &cfg})
 		if err := VerifySchedule(c, res.Schedule, 3); err != nil {
 			t.Fatal(err)
 		}
@@ -242,10 +243,7 @@ func TestPublicCSVExperiment(t *testing.T) {
 func TestPublicT2(t *testing.T) {
 	c := BV(8)
 	topo := LinearDevice(2, 6)
-	res, err := Compile(DefaultCompileConfig(), c, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := compile(t, CompileRequest{Circuit: c, Topo: topo})
 	base := Simulate(res.Schedule, topo, DefaultSimOptions())
 	opt := DefaultSimOptions()
 	opt.Params.T2 = 50
