@@ -260,7 +260,7 @@ func (al *authLayer) verifyIdentity(hdr string) (*auth.Principal, error) {
 }
 
 // tagged threads the resolved principal into the request's
-// observability: the instrument middleware's summary line (via the
+// observability: the edge's root span and request line (via the
 // principal tag) and every downstream log line (via a re-bound logger).
 func (al *authLayer) tagged(ctx context.Context, p *auth.Principal) context.Context {
 	setPrincipalTag(ctx, p.Name)

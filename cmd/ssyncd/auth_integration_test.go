@@ -263,6 +263,19 @@ func TestQuotaIsolatesPrincipals(t *testing.T) {
 		return durs
 	}
 	quiet := bobRound()
+	floodStats := func() *auth.PrincipalQuotaStats {
+		t.Helper()
+		st := statsV2(t, ts)
+		if st.Auth == nil {
+			t.Fatal("stats missing auth section")
+		}
+		for i := range st.Auth.Principals {
+			if st.Auth.Principals[i].Name == "flood" {
+				return &st.Auth.Principals[i]
+			}
+		}
+		return nil
+	}
 
 	// Flood: four clients hammering interactive compiles on one key.
 	// Most are shed at the edge; the admitted overflow runs demoted, so
@@ -287,6 +300,15 @@ func TestQuotaIsolatesPrincipals(t *testing.T) {
 			}
 		}(c)
 	}
+	// Measure bob only once the flood is riding the whole ladder —
+	// demoted grants and sheds both seen — so his loaded round always
+	// overlaps a flood being shed. The wait is bounded; the assertions
+	// below report a flood that never got there.
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if f := floodStats(); f != nil && f.Demoted > 0 && f.ShedRate+f.ShedInFlight > 0 {
+			break
+		}
+	}
 	loaded := bobRound()
 	close(stop)
 	wg.Wait()
@@ -300,18 +322,9 @@ func TestQuotaIsolatesPrincipals(t *testing.T) {
 		t.Fatalf("bob p50 under flood = %v, quiet = %v; want within %v", p50l, p50q, limit)
 	}
 
-	st := statsV2(t, ts)
-	if st.Auth == nil {
-		t.Fatal("stats missing auth section")
-	}
-	var flood *auth.PrincipalQuotaStats
-	for i := range st.Auth.Principals {
-		if st.Auth.Principals[i].Name == "flood" {
-			flood = &st.Auth.Principals[i]
-		}
-	}
+	flood := floodStats()
 	if flood == nil {
-		t.Fatalf("flood principal missing from auth stats: %+v", st.Auth.Principals)
+		t.Fatal("flood principal missing from auth stats")
 	}
 	if flood.Demoted == 0 {
 		t.Errorf("flood was never demoted: %+v", flood)

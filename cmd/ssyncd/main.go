@@ -19,12 +19,14 @@
 // 503 + Retry-After instead of timing out after queueing. GET /v2/stats
 // reports the scheduler under "sched".
 //
-// The service is observable end to end: every request gets an
-// X-Request-ID (minted, or accepted from the caller) that appears on
-// all of its structured log lines (-log-format json|text, -log-level),
-// GET /metrics exposes Prometheus counters/gauges/histograms for the
-// scheduler, artifact store, passes and HTTP layer, and -debug-addr
-// starts a separate net/http/pprof listener.
+// The service is observable end to end: every request gets one trace,
+// whose ID answers X-Trace-ID and X-Request-ID (unless the caller sent
+// an acceptable X-Request-ID, which is echoed), appears as trace_id on
+// all of its structured log lines (-log-format json|text, -log-level)
+// and names its span tree at GET /v2/traces/{id}. GET /metrics exposes
+// Prometheus counters/gauges/histograms for the scheduler, artifact
+// store, passes and HTTP layer, the event histograms derived from the
+// spans, and -debug-addr starts a separate net/http/pprof listener.
 //
 // Usage:
 //
@@ -136,7 +138,7 @@ func main() {
 	default:
 		log.Fatalf("unknown -mode %q (want replica or router)", *mode)
 	}
-	srv, err := newObservedServer(engine.Options{
+	eng, err := engine.Open(engine.Options{
 		CacheSize:      *cache,
 		StageCacheSize: *stageCache,
 		CacheDir:       *cacheDir,
@@ -144,10 +146,12 @@ func main() {
 		SharedCache:    *cacheShared,
 		Workers:        *workers,
 		QueueLimit:     *queue,
-	}, *workers, *timeout, logger)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	srv := newServer(eng, *workers, *timeout)
+	srv.log = logger
 	srv.recorder = topt.recorder()
 	srv.traceSlow = topt.slow
 	if aopt.enabled() {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"ssync/internal/engine"
@@ -13,12 +14,13 @@ import (
 	"ssync/internal/store"
 )
 
-// The observability edge of ssyncd: every request gets an ID (minted
-// here, or accepted from the caller's X-Request-ID), a request-scoped
-// logger carrying that ID, and a trace the engine fills with span
-// events; /metrics exposes a Prometheus registry mixing event-level
-// histograms (fed inline through obs.Hooks) with counters and gauges
-// mirrored from the engine's Stats snapshot at scrape time.
+// The observability edge of ssyncd, shared by both process roles: every
+// request gets a trace (continued from a valid inbound traceparent, or
+// minted here) whose ID is the request's one ID, a request-scoped logger
+// carrying that ID, and a root span the layers below hang their spans
+// under. Spans are the only event stream: a replica's /metrics derives
+// its event histograms from them, next to counters and gauges mirrored
+// from the engine's Stats snapshot at scrape time.
 
 // knownRoutes is the allowlist the HTTP metrics label routes against.
 // Anything else — typos, scans, probes — collapses into "other", so an
@@ -40,8 +42,8 @@ func routeLabel(path string) string {
 }
 
 // maxRequestIDLen bounds an accepted inbound X-Request-ID; longer (or
-// invalid) values are replaced with a freshly minted ID rather than
-// echoed, so a hostile header cannot smuggle bytes into log lines.
+// invalid) values are replaced with the trace ID rather than echoed, so
+// a hostile header cannot smuggle bytes into responses.
 const maxRequestIDLen = 64
 
 // acceptRequestID validates a caller-supplied request ID: 1 to 64
@@ -62,9 +64,9 @@ func acceptRequestID(id string) bool {
 	return true
 }
 
-// principalTag is a mutable slot the instrument middleware plants in
-// the context so the auth layer — which resolves the principal later,
-// inside the mux — can report it back for the request summary line.
+// principalTag is a mutable slot the edge plants in the context so the
+// auth layer — which resolves the principal later, inside the handler —
+// can report it back for the root span and the request log line.
 // Written and read on the request goroutine only.
 type principalTag struct{ name string }
 
@@ -75,8 +77,7 @@ func withPrincipalTag(ctx context.Context, t *principalTag) context.Context {
 }
 
 // setPrincipalTag records the resolved principal for the enclosing
-// instrument middleware; a no-op on contexts without the slot (tests,
-// embedders).
+// edge; a no-op on contexts without the slot (tests, embedders).
 func setPrincipalTag(ctx context.Context, name string) {
 	if t, ok := ctx.Value(principalTagKey{}).(*principalTag); ok {
 		t.name = name
@@ -102,23 +103,32 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// instrument is the edge middleware: it resolves the request ID, stamps
-// it on the response, threads ID + logger + trace through the context,
-// and records the request in the HTTP metric families and the request
-// log. It wraps the whole mux, so every route — /metrics included — is
-// counted and correlated.
-func (s *server) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.requests.Add(1)
-		id := r.Header.Get("X-Request-ID")
-		if !acceptRequestID(id) {
-			id = obs.NewRequestID()
-		}
-		w.Header().Set("X-Request-ID", id)
+// edge configures the HTTP edge one process role wraps its handler in.
+type edge struct {
+	log *slog.Logger
+	// rec is the flight recorder finished traces are offered to; nil
+	// disables recording.
+	rec *obs.Recorder
+	// slow, when positive, dumps any slower request's span tree to the
+	// log at warn level.
+	slow time.Duration
+	// metrics is the replica role's instrument set; nil in router mode,
+	// whose /metrics carries the ssync_cluster_* families instead.
+	metrics *edgeMetrics
+}
 
-		log := s.log.With("request_id", id)
-		ctx := obs.WithRequestID(r.Context(), id)
-		ctx = obs.WithLogger(ctx, log)
+// handler wraps next in the edge: it starts the request's trace, answers
+// X-Trace-ID and X-Request-ID (an acceptable inbound value echoed,
+// otherwise the trace ID), threads trace, root span and a logger bound
+// to the trace ID through the context, and once next returns records
+// the root span, offers the trace to the flight recorder, counts the
+// request and logs it.
+func (e edge) handler(next http.Handler) http.Handler {
+	var observe func(obs.Span)
+	if e.metrics != nil {
+		observe = e.metrics.observeSpan
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Continue the caller's distributed trace when it sent a valid
 		// traceparent (the router does, for proxied hops); otherwise mint
 		// a fresh trace. Malformed headers are ignored, never echoed.
@@ -128,27 +138,37 @@ func (s *server) instrument(next http.Handler) http.Handler {
 		} else {
 			tr = obs.NewTrace()
 		}
+		obs.ObserveSpans(tr, observe)
 		rootID := tr.NewSpanID()
 		tr.SetRoot(rootID)
+		id := r.Header.Get("X-Request-ID")
+		if !acceptRequestID(id) {
+			id = tr.ID()
+		}
+		w.Header().Set("X-Request-ID", id)
 		w.Header().Set("X-Trace-ID", tr.ID())
+
+		log := e.log.With("trace_id", tr.ID())
+		tag := &principalTag{}
+		ctx := obs.WithLogger(r.Context(), log)
 		ctx = obs.WithTrace(ctx, tr)
 		ctx = obs.WithSpan(ctx, rootID)
-		tag := &principalTag{}
 		ctx = withPrincipalTag(ctx, tag)
 
 		route := routeLabel(r.URL.Path)
-		s.inflight.With().Inc()
+		if e.metrics != nil {
+			e.metrics.begin()
+		}
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		elapsed := time.Since(start)
-		s.inflight.With().Add(-1)
-
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		s.httpReqs.With(route, strconv.Itoa(sw.status)).Inc()
-		s.httpDur.Observe(elapsed.Seconds(), route)
+		if e.metrics != nil {
+			e.metrics.end(route, sw.status, elapsed)
+		}
 
 		rootAttrs := map[string]string{
 			"method": r.Method, "route": route,
@@ -158,18 +178,17 @@ func (s *server) instrument(next http.Handler) http.Handler {
 			rootAttrs["principal"] = tag.name
 		}
 		tr.Record(rootID, tr.RemoteParent(), "http "+route, start, elapsed, rootAttrs)
-		s.recorder.Record(tr, route, tag.name, sw.status, elapsed)
+		e.rec.Record(tr, route, tag.name, sw.status, elapsed)
 
 		attrs := []any{
 			"method", r.Method, "path", r.URL.Path, "status", sw.status,
 			"dur_ms", float64(elapsed) / float64(time.Millisecond),
-			"trace_id", tr.ID(),
 		}
 		if tag.name != "" {
 			attrs = append(attrs, "principal", tag.name)
 		}
 		log.Info("http request", attrs...)
-		dumpSlowTrace(ctx, log, s.traceSlow, tr, route, elapsed)
+		dumpSlowTrace(ctx, log, e.slow, tr, route, elapsed)
 	})
 }
 
@@ -178,12 +197,9 @@ func (s *server) instrument(next http.Handler) http.Handler {
 // decomposition in the log even at the default info level, whether or
 // not anyone ever fetches the trace from the recorder.
 func dumpSlowTrace(ctx context.Context, log *slog.Logger, slow time.Duration, tr *obs.Trace, route string, elapsed time.Duration) {
-	if tr == nil {
-		return
-	}
 	if slow > 0 && elapsed >= slow {
 		doc := obs.TraceRecord{TraceID: tr.ID(), Spans: tr.Spans()}.Document()
-		log.Warn("slow request", "route", route, "trace_id", tr.ID(),
+		log.Warn("slow request", "route", route,
 			"dur_ms", float64(elapsed)/float64(time.Millisecond),
 			"spans", "\n"+doc.RenderTree())
 		return
@@ -194,6 +210,60 @@ func dumpSlowTrace(ctx context.Context, log *slog.Logger, slow time.Duration, tr
 				"start_ms", float64(sp.Start)/float64(time.Millisecond),
 				"dur_ms", float64(sp.Dur)/float64(time.Millisecond))
 		}
+	}
+}
+
+// edgeMetrics are the replica role's edge instruments: the ssync_http_*
+// families and the /v2/stats request counter, fed per request, and the
+// event histograms, derived from the spans of every trace the edge
+// starts.
+type edgeMetrics struct {
+	requests                    atomic.Uint64
+	httpReqs, httpDur, inflight *obs.Metric
+	passDur, queueWait, diskOp  *obs.Metric
+}
+
+func newEdgeMetrics(reg *obs.Registry) *edgeMetrics {
+	return &edgeMetrics{
+		httpReqs: reg.Counter("ssync_http_requests_total",
+			"HTTP requests served, by route and status code.", "route", "code"),
+		httpDur: reg.Histogram("ssync_http_request_duration_seconds",
+			"HTTP request duration, by route.", nil, "route"),
+		inflight: reg.Gauge("ssync_http_requests_inflight",
+			"HTTP requests currently being served."),
+		passDur: reg.Histogram("ssync_pass_duration_seconds",
+			"Wall time of executed compiler passes, by pass name.", nil, "pass"),
+		queueWait: reg.Histogram("ssync_sched_queue_wait_seconds",
+			"Admission-queue wait of granted worker slots, by priority class.", nil, "class"),
+		diskOp: reg.Histogram("ssync_store_disk_op_seconds",
+			"Disk cache tier blob operation latency, by operation and outcome.", nil, "op", "outcome"),
+	}
+}
+
+func (m *edgeMetrics) begin() {
+	m.requests.Add(1)
+	m.inflight.With().Inc()
+}
+
+func (m *edgeMetrics) end(route string, status int, elapsed time.Duration) {
+	m.inflight.With().Add(-1)
+	m.httpReqs.With(route, strconv.Itoa(status)).Inc()
+	m.httpDur.Observe(elapsed.Seconds(), route)
+}
+
+// observeSpan derives the event histograms from one span. Every executed
+// pass ("pass:<name>"), every slot grant that queued ("sched.queue") and
+// every disk-tier blob operation ("store.disk") is a span, and the trace
+// hands each one here whether or not it kept it under its span cap, so
+// the histograms count every event exactly once.
+func (m *edgeMetrics) observeSpan(sp obs.Span) {
+	switch {
+	case strings.HasPrefix(sp.Name, "pass:"):
+		m.passDur.Observe(sp.Dur.Seconds(), strings.TrimPrefix(sp.Name, "pass:"))
+	case sp.Name == "sched.queue":
+		m.queueWait.Observe(sp.Dur.Seconds(), sp.Attrs["class"])
+	case sp.Name == "store.disk":
+		m.diskOp.Observe(sp.Dur.Seconds(), sp.Attrs["op"], sp.Attrs["outcome"])
 	}
 }
 

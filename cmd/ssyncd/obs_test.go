@@ -13,19 +13,17 @@ import (
 	"time"
 
 	"ssync/internal/engine"
+	"ssync/internal/obs"
 )
 
-// observedServer builds a fully wired server (hooks + registry +
-// logger at debug) around a bounded, cached engine, returning the test
-// server and the log buffer.
+// observedServer builds a server wired as main wires it, logging at
+// debug, around a bounded, cached engine, returning the test server and
+// the log buffer.
 func observedServer(t *testing.T) (*httptest.Server, *syncBuffer) {
 	t.Helper()
 	buf := new(syncBuffer)
-	logger := slog.New(slog.NewTextHandler(buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	srv, err := newObservedServer(engine.Options{Workers: 2, StageCacheSize: 64}, 2, time.Minute, logger)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer(engine.New(engine.Options{Workers: 2, StageCacheSize: 64}), 2, time.Minute)
+	srv.log = slog.New(slog.NewTextHandler(buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
 	return ts, buf
@@ -113,33 +111,36 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestRequestIDEndToEnd pins the one-ID contract: the request ID the
+// edge mints is the trace ID, named by both response headers, the body's
+// trace_id and the request's log lines; an acceptable inbound
+// X-Request-ID is echoed, and a hostile one is replaced by the trace ID.
 func TestRequestIDEndToEnd(t *testing.T) {
 	ts, logBuf := observedServer(t)
 
-	// A minted ID: present on the response header, the body, and the
-	// request's log lines.
 	var out compileResponseV2
 	resp := postJSON(t, ts.URL+"/v2/compile", compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, &out)
 	id := resp.Header.Get("X-Request-ID")
-	if len(id) != 16 {
-		t.Fatalf("minted X-Request-ID = %q, want 16 hex chars", id)
+	if !obs.IsTraceID(id) {
+		t.Fatalf("minted X-Request-ID = %q, want a 32-hex trace ID", id)
 	}
-	if out.RequestID != id {
-		t.Errorf("body request_id = %q, header = %q", out.RequestID, id)
+	if tid := resp.Header.Get("X-Trace-ID"); tid != id {
+		t.Errorf("X-Request-ID = %q, X-Trace-ID = %q; want one ID", id, tid)
 	}
+	if out.TraceID != id {
+		t.Errorf("body trace_id = %q, header = %q", out.TraceID, id)
+	}
+	// At debug level the request's pass executions are logged under its
+	// ID, next to the edge's request line.
 	logs := logBuf.String()
-	if !strings.Contains(logs, "request_id="+id) {
-		t.Fatalf("log lines missing request_id=%s:\n%s", id, logs)
-	}
-	// At debug level the request's pass executions are logged under its ID.
 	idLines := 0
 	for _, line := range strings.Split(logs, "\n") {
-		if strings.Contains(line, "request_id="+id) {
+		if strings.Contains(line, "trace_id="+id) {
 			idLines++
 		}
 	}
 	if idLines < 2 {
-		t.Errorf("only %d log lines carry the request ID; want the edge line plus debug lines:\n%s", idLines, logs)
+		t.Errorf("only %d log lines carry trace_id=%s; want the edge line plus debug lines:\n%s", idLines, id, logs)
 	}
 	if !strings.Contains(logs, "msg=\"pass done\"") {
 		t.Errorf("debug pass lines missing:\n%s", logs)
@@ -148,37 +149,36 @@ func TestRequestIDEndToEnd(t *testing.T) {
 		t.Errorf("debug trace-span dump missing:\n%s", logs)
 	}
 
-	// An inbound X-Request-ID is honoured verbatim.
-	req, _ := http.NewRequest("GET", ts.URL+"/v2/stats", nil)
-	req.Header.Set("X-Request-ID", "caller-chosen.id-1")
-	resp2, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	get := func(inbound string) *http.Response {
+		t.Helper()
+		req, _ := http.NewRequest("GET", ts.URL+"/v2/stats", nil)
+		req.Header.Set("X-Request-ID", inbound)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
 	}
-	resp2.Body.Close()
+	// An inbound X-Request-ID is echoed verbatim; the trace is still
+	// the edge's own.
+	resp2 := get("caller-chosen.id-1")
 	if got := resp2.Header.Get("X-Request-ID"); got != "caller-chosen.id-1" {
 		t.Errorf("inbound ID not echoed: got %q", got)
 	}
-	if !strings.Contains(logBuf.String(), "request_id=caller-chosen.id-1") {
-		t.Errorf("inbound ID missing from logs")
+	if tid := resp2.Header.Get("X-Trace-ID"); !obs.IsTraceID(tid) {
+		t.Errorf("X-Trace-ID = %q beside an inbound request ID", tid)
 	}
-
-	// A hostile inbound ID (bad characters) is replaced, not echoed.
-	req3, _ := http.NewRequest("GET", ts.URL+"/v2/stats", nil)
-	req3.Header.Set("X-Request-ID", `evil id{"}`)
-	resp3, err := http.DefaultClient.Do(req3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if got := resp3.Header.Get("X-Request-ID"); got == "" || strings.ContainsAny(got, "{}") {
-		t.Errorf("hostile inbound ID handled badly: %q", got)
+	// A hostile inbound ID (bad characters) is replaced by the trace ID.
+	resp3 := get(`evil id{"}`)
+	if got, tid := resp3.Header.Get("X-Request-ID"), resp3.Header.Get("X-Trace-ID"); got != tid || !obs.IsTraceID(got) {
+		t.Errorf("hostile inbound ID handled badly: X-Request-ID %q, X-Trace-ID %q", got, tid)
 	}
 }
 
 func TestCoalescedFollowerGetsOwnRequestID(t *testing.T) {
 	// Server-level version of the engine proof: two concurrent identical
-	// compiles; the coalesced follower's response carries its own ID.
+	// compiles; the coalesced follower's response carries its own trace.
 	ts, _ := observedServer(t)
 
 	body := compileRequestV2{Benchmark: "QFT_16", Topology: "G-2x3", Capacity: 8}
@@ -199,26 +199,17 @@ func TestCoalescedFollowerGetsOwnRequestID(t *testing.T) {
 		t.Fatalf("compile errors: %q / %q", a.out.Error, b.out.Error)
 	}
 	if a.id == b.id {
-		t.Fatalf("both responses share one request ID %q", a.id)
+		t.Fatalf("both responses share one trace ID %q", a.id)
 	}
-	if a.out.RequestID != a.id || b.out.RequestID != b.id {
-		t.Errorf("body/header ID mismatch: %q/%q and %q/%q", a.out.RequestID, a.id, b.out.RequestID, b.id)
+	if a.out.TraceID != a.id || b.out.TraceID != b.id {
+		t.Errorf("body/header ID mismatch: %q/%q and %q/%q", a.out.TraceID, a.id, b.out.TraceID, b.id)
 	}
 	// Whether the second request coalesced or hit the cache depends on
 	// timing; either way both carried distinct IDs, which is the claim.
 }
 
 func TestAcceptRequestID(t *testing.T) {
-	for id, want := range map[string]bool{
-		"abc":                   true,
-		"a.b_c-9":               true,
-		"":                      false,
-		"has space":             false,
-		"bad\nnewline":          false,
-		"quote\"":               false,
-		strings.Repeat("x", 64): true,
-		strings.Repeat("x", 65): false,
-	} {
+	for id, want := range acceptRequestIDCases {
 		if got := acceptRequestID(id); got != want {
 			t.Errorf("acceptRequestID(%q) = %v, want %v", id, got, want)
 		}

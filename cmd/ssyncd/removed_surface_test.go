@@ -171,7 +171,7 @@ func TestRemovedV1SurfaceIs404(t *testing.T) {
 		}
 		compile := `{"label":"a","benchmark":"BV_12","topology":"S-4","capacity":8}`
 		head := []string{"label", "compiler", "topology", "qubits", "two_qubit_gates", "shuttles", "swaps",
-			"success_rate", "exec_time_us", "compile_ms", "cache_hit", "key", "request_id", "trace_id", "priority"}
+			"success_rate", "exec_time_us", "compile_ms", "cache_hit", "key", "trace_id", "priority"}
 		want := map[string][]string{
 			"miss": append(append([]string(nil), head...), "pipeline", "passes"),
 			"hit":  append(append([]string(nil), head...), "cache_tier", "pipeline", "passes"),

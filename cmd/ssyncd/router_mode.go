@@ -84,7 +84,7 @@ func runRouter(addr, replicaList string, drain time.Duration, aopt authOptions, 
 	// The trace edge wraps the auth edge, so the router's own spans —
 	// auth.admit, cluster.key, every cluster.forward attempt — land in
 	// one trace whose ID travels to the chosen replica via traceparent.
-	handler = edgeInstrument(logger, rec, topt.slow, handler)
+	handler = edge{log: logger, rec: rec, slow: topt.slow}.handler(handler)
 	hs := &http.Server{
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"ssync/internal/auth"
@@ -39,20 +38,17 @@ type server struct {
 	start   time.Time
 	// metrics caches the deterministic scoring simulation per request key,
 	// so cache-hit requests skip simulation as well as compilation.
-	metrics  *store.LRU[sim.Metrics]
-	requests atomic.Uint64
-	// log is the service logger; the instrument middleware derives the
-	// per-request logger (with request_id) from it. Never nil — newServer
-	// installs a discard logger.
+	metrics *store.LRU[sim.Metrics]
+	// log is the service logger; the edge derives the per-request logger
+	// (with trace_id) from it. Never nil — newServer installs a discard
+	// logger.
 	log *slog.Logger
 	// reg is the Prometheus registry behind GET /metrics; snap mirrors
-	// the engine snapshot into it at scrape time, the http* families are
-	// updated inline by the middleware. Never nil.
-	reg      *obs.Registry
-	snap     *snapshotMetrics
-	httpReqs *obs.Metric
-	httpDur  *obs.Metric
-	inflight *obs.Metric
+	// the engine snapshot into it at scrape time, edgeMetrics is fed by
+	// the edge from each request and the spans of its trace. Never nil.
+	reg         *obs.Registry
+	snap        *snapshotMetrics
+	edgeMetrics *edgeMetrics
 	// auth, when non-nil, guards the compile-submitting routes with
 	// API-key authentication and per-principal quota degradation; nil
 	// (the default) leaves the service open exactly as before.
@@ -77,50 +73,21 @@ func newServer(eng *engine.Engine, workers int, timeout time.Duration) *server {
 		// memory, so embedders pay a fixed cost. main resizes or disables
 		// it from the -trace-* flags.
 		recorder: obs.NewRecorder(obs.RecorderOptions{}),
+		reg:      obs.NewRegistry(),
 	}
-	s.setRegistry(obs.NewRegistry())
+	s.edgeMetrics = newEdgeMetrics(s.reg)
+	s.snap = newSnapshotMetrics(s.reg)
+	registerBuildInfo(s.reg, s.start)
+	// The stats closure reads s.recorder at scrape time, so main may swap
+	// or disable the recorder after construction without re-registering.
+	registerTraceMetrics(s.reg, func() obs.RecorderStats { return s.recorder.Stats() })
+	s.reg.OnScrape(func() { s.snap.update(s.eng.Stats()) })
 	return s
 }
 
-// newObservedServer is the fully wired constructor main uses: it opens
-// the engine with event-level hooks feeding the server's registry, so
-// pass/queue-wait/disk-op histograms are live from the first request.
-// (newServer keeps its plain signature for tests and embedders; its
-// engine simply has no hooks attached.)
-func newObservedServer(opt engine.Options, workers int, timeout time.Duration, log *slog.Logger) (*server, error) {
-	reg := obs.NewRegistry()
-	opt.Hooks = obs.NewServiceMetrics(reg)
-	eng, err := engine.Open(opt)
-	if err != nil {
-		return nil, err
-	}
-	s := newServer(eng, workers, timeout)
-	if log != nil {
-		s.log = log
-	}
-	s.setRegistry(reg)
-	return s, nil
-}
-
-// setRegistry points the server at reg: it registers the HTTP families
-// plus the snapshot mirror there and hooks the engine snapshot into
-// the scrape path.
-func (s *server) setRegistry(reg *obs.Registry) {
-	s.reg = reg
-	s.httpReqs = reg.Counter("ssync_http_requests_total",
-		"HTTP requests served, by route and status code.", "route", "code")
-	s.httpDur = reg.Histogram("ssync_http_request_duration_seconds",
-		"HTTP request duration, by route.", nil, "route")
-	s.inflight = reg.Gauge("ssync_http_requests_inflight",
-		"HTTP requests currently being served.")
-	s.snap = newSnapshotMetrics(reg)
-	registerBuildInfo(reg, s.start)
-	// The stats closure reads s.recorder at scrape time, so main may swap
-	// or disable the recorder after construction without re-registering.
-	registerTraceMetrics(reg, func() obs.RecorderStats { return s.recorder.Stats() })
-	reg.OnScrape(func() { s.snap.update(s.eng.Stats()) })
-}
-
+// routes builds the service's handler tree behind the edge. The edge
+// takes log, recorder and traceSlow as they are at this call, so set
+// them first.
 func (s *server) routes() http.Handler {
 	// Only the compile-submitting POST routes are guarded; the GET
 	// surface stays open so health checks, scrapers and the cluster
@@ -140,7 +107,7 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /v2/traces", s.handleTracesList)
 	mux.HandleFunc("GET /v2/traces/{id}", s.handleTraceGet)
 	mux.Handle("/metrics", s.reg)
-	return s.instrument(mux)
+	return edge{log: s.log, rec: s.recorder, slow: s.traceSlow, metrics: s.edgeMetrics}.handler(mux)
 }
 
 // jobTimeout resolves the per-request compile bound: the request override
@@ -302,7 +269,7 @@ func renderWithMetrics(req engine.Request, res engine.Response, m sim.Metrics) c
 		Coalesced:     res.Coalesced,
 		Pipeline:      res.Pipeline,
 	}
-	for _, pt := range res.PassTimings {
+	for _, pt := range res.Result.PassTimings {
 		out.Passes = append(out.Passes, passTimingV2{
 			Pass:      pt.Pass,
 			Ms:        float64(pt.Duration) / float64(time.Millisecond),

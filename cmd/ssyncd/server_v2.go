@@ -111,12 +111,10 @@ type compileResponseV2 struct {
 	CacheHit      bool    `json:"cache_hit"`
 	Key           string  `json:"key,omitempty"`
 	Error         string  `json:"error,omitempty"`
-	// RequestID echoes the request's correlation ID (the X-Request-ID
-	// response header) in the body, so stored responses stay joinable to
-	// server logs. Batch entries share the enclosing request's ID.
-	RequestID string `json:"request_id,omitempty"`
 	// TraceID names the request's distributed trace (also the X-Trace-ID
-	// response header); fetch the span tree later at /v2/traces/<id>.
+	// response header, and the trace_id on every log line the request
+	// wrote), so stored responses stay joinable to server logs; fetch the
+	// span tree later at /v2/traces/<id>.
 	TraceID string `json:"trace_id,omitempty"`
 	// Priority is the scheduling class the request actually ran in —
 	// the requested (or default) class after the principal's quota
@@ -155,8 +153,6 @@ type batchResponseV2 struct {
 	Results []compileResponseV2 `json:"results"`
 	// Errors counts entries that failed; the per-entry Error fields say why.
 	Errors int `json:"errors"`
-	// RequestID echoes the batch request's correlation ID.
-	RequestID string `json:"request_id,omitempty"`
 	// TraceID names the batch request's distributed trace.
 	TraceID string `json:"trace_id,omitempty"`
 }
@@ -620,7 +616,6 @@ func (s *server) handleCompileV2(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	resp.RequestID = obs.RequestID(r.Context())
 	resp.TraceID = obs.TraceFrom(r.Context()).ID()
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -641,9 +636,8 @@ func (s *server) handleBatchV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := batchResponseV2{
-		Results:   results,
-		RequestID: obs.RequestID(r.Context()),
-		TraceID:   obs.TraceFrom(r.Context()).ID(),
+		Results: results,
+		TraceID: obs.TraceFrom(r.Context()).ID(),
 	}
 	for _, r2 := range results {
 		if r2.Error != "" {
@@ -702,7 +696,7 @@ func (s *server) statsV2() statsResponseV2 {
 	st := s.eng.Stats()
 	resp := statsResponseV2{
 		UptimeSeconds:  time.Since(s.start).Seconds(),
-		Requests:       s.requests.Load(),
+		Requests:       s.edgeMetrics.requests.Load(),
 		JobsCompiled:   st.Compiled,
 		JobErrors:      st.Errors,
 		CacheHits:      st.Cache.Hits,

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"log/slog"
 	"net/http"
 	"runtime"
-	"strconv"
 	"time"
 
 	"ssync/internal/obs"
@@ -85,59 +83,5 @@ func registerTraceMetrics(reg *obs.Registry, stats func() obs.RecorderStats) {
 			sampled.With(class).Set(float64(st.Retained[class]))
 			evicted.With(class).Set(float64(st.Evicted[class]))
 		}
-	})
-}
-
-// edgeInstrument is the router-mode counterpart of server.instrument:
-// it mints (or continues) the trace and request ID before auth and the
-// cluster router run, records the root proxy span, feeds the recorder,
-// and dumps slow traces — so a routed request is flight-recorded at the
-// edge with the router's own spans even before replica spans are
-// stitched in at read time.
-func edgeInstrument(log *slog.Logger, rec *obs.Recorder, slow time.Duration, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-ID")
-		if !acceptRequestID(id) {
-			id = obs.NewRequestID()
-		}
-		w.Header().Set("X-Request-ID", id)
-
-		var tr *obs.Trace
-		if tid, parent, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-			tr = obs.ContinueTrace(tid, parent)
-		} else {
-			tr = obs.NewTrace()
-		}
-		rootID := tr.NewSpanID()
-		tr.SetRoot(rootID)
-		w.Header().Set("X-Trace-ID", tr.ID())
-
-		reqLog := log.With("request_id", id)
-		ctx := obs.WithRequestID(r.Context(), id)
-		ctx = obs.WithLogger(ctx, reqLog)
-		ctx = obs.WithTrace(ctx, tr)
-		ctx = obs.WithSpan(ctx, rootID)
-		tag := &principalTag{}
-		ctx = withPrincipalTag(ctx, tag)
-
-		route := routeLabel(r.URL.Path)
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r.WithContext(ctx))
-		elapsed := time.Since(start)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-
-		rootAttrs := map[string]string{
-			"method": r.Method, "route": route,
-			"status": strconv.Itoa(sw.status),
-		}
-		if tag.name != "" {
-			rootAttrs["principal"] = tag.name
-		}
-		tr.Record(rootID, tr.RemoteParent(), "http "+route, start, elapsed, rootAttrs)
-		rec.Record(tr, route, tag.name, sw.status, elapsed)
-		dumpSlowTrace(ctx, reqLog, slow, tr, route, elapsed)
 	})
 }

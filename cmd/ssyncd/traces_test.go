@@ -158,7 +158,7 @@ func TestTraceStitchedAcrossFleet(t *testing.T) {
 	}
 	t.Cleanup(router.Close)
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	front := httptest.NewServer(edgeInstrument(logger, rec, 0, router))
+	front := httptest.NewServer(edge{log: logger, rec: rec}.handler(router))
 	t.Cleanup(front.Close)
 
 	out, err := compileVia(front.URL, `{"benchmark":"QFT_10","topology":"G-2x3"}`)

@@ -61,7 +61,7 @@ func main() {
 	}
 	fmt.Printf("custom pipeline: %d shuttles, %d swaps, verified (key %.12s…)\n",
 		resp.Result.Counts.Shuttles, resp.Result.Counts.Swaps, resp.Key)
-	for _, pt := range resp.PassTimings {
+	for _, pt := range resp.Result.PassTimings {
 		fmt.Printf("  %-18s %8.3f ms  gate delta %+d\n",
 			pt.Pass, float64(pt.Duration.Microseconds())/1000, pt.GateDelta)
 	}

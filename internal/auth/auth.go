@@ -7,7 +7,7 @@
 // budget has its requests demoted interactive → batch → background, and
 // is only shed (HTTP 429 + Retry-After at the edge) once it is over
 // budget at the background class. The resolved Principal travels on the
-// request context next to the request ID, so the scheduler accounts
+// request context next to the request's trace, so the scheduler accounts
 // per principal, log lines carry the principal, and the engine clamps
 // request priority to the principal's cap. In a sharded fleet the
 // router authenticates once at the edge and forwards identity to

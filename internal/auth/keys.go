@@ -332,8 +332,9 @@ func parseLimitOption(lim *Limits, opt string) error {
 }
 
 // validPrincipalName reports whether name is 1–64 characters of
-// [A-Za-z0-9._-] — the same alphabet request IDs use, so names are safe
-// as metric labels, log fields and header payloads.
+// [A-Za-z0-9._-] — the alphabet ssyncd accepts in an inbound
+// X-Request-ID — so names are safe as metric labels, log fields and
+// header payloads.
 func validPrincipalName(name string) bool {
 	if len(name) == 0 || len(name) > 64 {
 		return false

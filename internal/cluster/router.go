@@ -248,26 +248,14 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	key := r.affinityKey(req.Method, req.URL.Path, body)
 	tr.Child(obs.SpanID(req.Context()), "cluster.key", keyStart, time.Since(keyStart))
 
-	// The client's correlation ID travels to the replica (and back on the
-	// response the replica writes); the trace edge usually minted one
-	// into the context already, so router and replica log lines share it.
-	reqID := obs.RequestID(req.Context())
-	if reqID == "" {
-		reqID = req.Header.Get("X-Request-ID")
-	}
-	if reqID == "" {
-		reqID = obs.NewRequestID()
-	}
-
-	resp, shardIdx, spillReason, err := r.forward(req, body, key, reqID)
+	resp, shardIdx, spillReason, err := r.forward(req, body, key)
 	elapsed := time.Since(start)
 	if r.metrics != nil {
 		r.metrics.proxyDur.Observe(elapsed.Seconds(), route)
 	}
 	if err != nil {
-		w.Header().Set("X-Request-ID", reqID)
 		httpError(w, http.StatusBadGateway, err.Error())
-		r.log.Warn("cluster: all shards failed", "path", req.URL.Path, "request_id", reqID, "err", err)
+		r.log.Warn("cluster: all shards failed", "path", req.URL.Path, "trace_id", tr.ID(), "err", err)
 		return
 	}
 	s := r.shards[shardIdx]
@@ -282,20 +270,19 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		r.metrics.requests.With(s.url).Inc()
 	}
 
+	// The replica's headers replace, never append to, any the edge in
+	// front of the router already set: the replica continued this trace
+	// and was forwarded the caller's X-Request-ID, so its correlation
+	// headers carry the same values, once.
 	for k, vv := range resp.header {
-		for _, v := range vv {
-			w.Header().Add(k, v)
-		}
-	}
-	if w.Header().Get("X-Request-ID") == "" {
-		w.Header().Set("X-Request-ID", reqID)
+		w.Header()[k] = vv
 	}
 	w.WriteHeader(resp.status)
 	w.Write(resp.body)
 
 	r.log.Debug("cluster: proxied", "path", req.URL.Path, "shard", s.url,
 		"status", resp.status, "spill", spillReason,
-		"dur_ms", float64(elapsed)/float64(time.Millisecond), "request_id", reqID)
+		"dur_ms", float64(elapsed)/float64(time.Millisecond), "trace_id", tr.ID())
 }
 
 // affinityKey computes the request's placement key: the engine cache
@@ -349,7 +336,7 @@ type bufferedResponse struct {
 // the last resort (the poller may simply not have caught up with a
 // recovery) — and returns the first complete response. The returned
 // spill reason is "" when the home shard served the request.
-func (r *Router) forward(req *http.Request, body []byte, key Key, reqID string) (*bufferedResponse, int, string, error) {
+func (r *Router) forward(req *http.Request, body []byte, key Key) (*bufferedResponse, int, string, error) {
 	prefs := r.ring.order(key)
 	type attempt struct {
 		shard  int
@@ -401,7 +388,7 @@ func (r *Router) forward(req *http.Request, body []byte, key Key, reqID string) 
 			fwdID = tr.NewSpanID()
 			traceparent = obs.FormatTraceparent(tr.ID(), fwdID)
 		}
-		resp, err := r.tryShard(req, s, body, reqID, traceparent)
+		resp, err := r.tryShard(req, s, body, traceparent)
 		if tr != nil {
 			attrs := map[string]string{"shard": s.url}
 			if a.reason != "" {
@@ -435,7 +422,7 @@ func (r *Router) forward(req *http.Request, body []byte, key Key, reqID string) 
 }
 
 // tryShard forwards one attempt and buffers the complete response.
-func (r *Router) tryShard(req *http.Request, s *shard, body []byte, reqID, traceparent string) (*bufferedResponse, error) {
+func (r *Router) tryShard(req *http.Request, s *shard, body []byte, traceparent string) (*bufferedResponse, error) {
 	url := s.url + req.URL.Path
 	if req.URL.RawQuery != "" {
 		url += "?" + req.URL.RawQuery
@@ -448,7 +435,6 @@ func (r *Router) tryShard(req *http.Request, s *shard, body []byte, reqID, trace
 	for _, h := range hopHeaders {
 		out.Header.Del(h)
 	}
-	out.Header.Set("X-Request-ID", reqID)
 	// The replica joins the router's trace under this attempt's forward
 	// span — never under whatever traceparent the client sent; the
 	// router's edge already decided whether to continue that one.

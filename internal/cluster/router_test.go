@@ -255,7 +255,8 @@ func TestRouterRetryOnTransportError(t *testing.T) {
 }
 
 // TestRouterAllShardsDownIs502: when nothing can serve, the client gets
-// one clean 502 with a request ID, not a hang.
+// one clean 502, not a hang. (The correlation headers on it come from
+// the HTTP edge in front of the router; cmd/ssyncd tests those.)
 func TestRouterAllShardsDownIs502(t *testing.T) {
 	a := newFakeReplica(t, "a")
 	_, front := newTestRouter(t, Options{HealthInterval: time.Hour}, a)
@@ -265,13 +266,10 @@ func TestRouterAllShardsDownIs502(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("status %d, want 502", resp.StatusCode)
 	}
-	if resp.Header.Get("X-Request-ID") == "" {
-		t.Fatal("502 carries no request ID")
-	}
 }
 
 // TestRouterRequestID: a caller-supplied ID travels to the replica
-// unchanged; an absent one is minted.
+// unchanged (the fake replica echoes the header it received).
 func TestRouterRequestID(t *testing.T) {
 	a := newFakeReplica(t, "a")
 	_, front := newTestRouter(t, Options{}, a)
@@ -283,13 +281,8 @@ func TestRouterRequestID(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get("X-Request-ID"); got != "caller-chose-this" {
-		t.Fatalf("request ID rewritten to %q", got)
-	}
-	resp2 := postCompile(t, front.URL, `{}`)
-	resp2.Body.Close()
-	if resp2.Header.Get("X-Request-ID") == "" {
-		t.Fatal("router did not mint a request ID")
+	if got := resp.Header.Values("X-Request-ID"); len(got) != 1 || got[0] != "caller-chose-this" {
+		t.Fatalf("replica saw request ID %q, want the caller's", got)
 	}
 }
 

@@ -22,9 +22,14 @@ type Result struct {
 	// CompileTime is wall-clock scheduling time (Fig. 15). For pipeline
 	// compilations it spans the whole pipeline; PassTimings itemises it.
 	CompileTime time.Duration
-	// Iterations counts heuristic search iterations; Fallbacks counts
-	// forced-routing interventions (0 on all paper benchmarks at default
-	// settings — present as a safety valve).
+	// Iterations counts heuristic search iterations. Fallbacks counts
+	// forced-routing interventions: each time the search admits no
+	// descending generic swap, or Config.MaxStall iterations pass without
+	// an executed gate, the deterministic fallback router moves the first
+	// blocked gate's qubits together. It fires on the paper benchmarks at
+	// default settings: 2 times over the quick Figs. 8–10 grid's ssync
+	// cells and 421 times over the full grid, where it is non-zero on 24
+	// of 27 cells. ROADMAP item 1 tracks reporting and reducing it.
 	Iterations int
 	Fallbacks  int
 	// PassTimings itemises a pipeline compilation stage by stage, in

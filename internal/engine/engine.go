@@ -125,16 +125,6 @@ type Response struct {
 	// Coalesced reports that this request attached to an identical
 	// in-flight compilation instead of running its own.
 	Coalesced bool
-	// PassTimings itemises a pipeline compilation per pass (wall time and
-	// gate-count delta). Cache hits report the timings of the compilation
-	// that produced the cached result. Empty for opaque compilers.
-	PassTimings []core.PassTiming
-	// Trace lists this request's ordered span records — admission wait,
-	// cache probes, executed passes, the coalesce wait of a follower —
-	// when the request context carried a trace (obs.WithTrace); nil
-	// otherwise. A coalesced follower's trace covers its own waits, not
-	// the leader's execution.
-	Trace []obs.Span
 }
 
 // Stats is a point-in-time snapshot of engine counters — the single
@@ -240,11 +230,6 @@ type Options struct {
 	// sched.DefaultQueueLimit; negative means unbounded queues (shedding
 	// by deadline only). Ignored when Workers <= 0.
 	QueueLimit int
-	// Hooks receives event-level instrumentation — executed passes, slot
-	// queue waits, disk-tier blob I/O — typically an
-	// obs.NewServiceMetrics feeding a Prometheus registry. Nil means not
-	// instrumented; counters remain available through Stats either way.
-	Hooks obs.Hooks
 }
 
 // DefaultCacheSize is the result-cache bound used when Options.CacheSize
@@ -277,10 +262,7 @@ type Engine struct {
 	// sched admission-controls compilations when Options.Workers > 0:
 	// only actual compiler executions hold a slot, acquired in the
 	// request's priority class. Nil on unbounded engines.
-	sched *sched.Scheduler
-	// hooks receives event-level instrumentation; nil when the engine is
-	// not instrumented.
-	hooks     obs.Hooks
+	sched     *sched.Scheduler
 	flights   flightGroup
 	compiled  atomic.Uint64
 	coalesced atomic.Uint64
@@ -295,7 +277,7 @@ type Engine struct {
 // errors (unwritable Options.CacheDir and the like). Engines without a
 // CacheDir cannot fail; New is the error-free constructor for them.
 func Open(opt Options) (*Engine, error) {
-	e := &Engine{passStats: make(map[string]PassStats), hooks: opt.Hooks}
+	e := &Engine{passStats: make(map[string]PassStats)}
 	if opt.Workers > 0 {
 		cc := sched.ClassConfig{QueueLimit: opt.QueueLimit}
 		e.sched = sched.New(sched.Config{
@@ -303,7 +285,6 @@ func Open(opt Options) (*Engine, error) {
 			Class: map[sched.Class]sched.ClassConfig{
 				sched.Interactive: cc, sched.Batch: cc, sched.Background: cc,
 			},
-			Hooks: opt.Hooks,
 		})
 	}
 	if opt.CacheSize < 0 {
@@ -328,9 +309,6 @@ func Open(opt Options) (*Engine, error) {
 		disk, err := open(opt.CacheDir, max)
 		if err != nil {
 			return nil, err
-		}
-		if opt.Hooks != nil {
-			disk.SetHooks(opt.Hooks)
 		}
 		e.disk = disk
 	}
@@ -406,11 +384,6 @@ func (e *Engine) recordPasses(timings []core.PassTiming) {
 		e.passStats[t.Pass] = ps
 	}
 	e.passMu.Unlock()
-	if e.hooks != nil {
-		for _, t := range timings {
-			e.hooks.PassDone(t.Pass, t.Duration)
-		}
-	}
 }
 
 // recordStageHits counts stages whose execution was skipped because a
@@ -489,7 +462,8 @@ func (e *Engine) Do(ctx context.Context, req Request) Response {
 	}
 	// Tracing and request-scoped logging are opt-in through the context
 	// (obs.WithTrace / obs.WithLogger, attached by ssyncd's edge); both
-	// degrade to no-ops on a bare context.
+	// degrade to no-ops on a bare context. Spans land in the caller's
+	// trace, which the caller already holds.
 	tr := obs.TraceFrom(ctx)
 	log := obs.Logger(ctx)
 	// Content addressing costs a full canonical render + hash per
@@ -499,10 +473,7 @@ func (e *Engine) Do(ctx context.Context, req Request) Response {
 		out.Result, out.Err = e.compile(ctx, x, req, "")
 		if out.Err != nil {
 			e.errors.Add(1)
-		} else {
-			out.PassTimings = out.Result.PassTimings
 		}
-		out.Trace = tr.Spans()
 		return out
 	}
 	// The canonical QASM render is the expensive shared ingredient of the
@@ -519,13 +490,12 @@ func (e *Engine) Do(ctx context.Context, req Request) Response {
 	probeCtx := ctx
 	var probeID string
 	if tr != nil {
-		// Pre-mint the probe span's ID so the disk tier (GetTraced) can
-		// parent its I/O span under it before the probe span itself is
-		// recorded.
+		// Pre-mint the probe span's ID so the disk tier can parent its
+		// I/O span under it before the probe span itself is recorded.
 		probeID = tr.NewSpanID()
 		probeCtx = obs.WithSpan(ctx, probeID)
 	}
-	res, tier, ok := e.results.GetTraced(probeCtx, store.Key(key), func(blob []byte) (*core.Result, error) {
+	res, tier, ok := e.results.Get(probeCtx, store.Key(key), func(blob []byte) (*core.Result, error) {
 		return decodeResult(blob, req.Topo)
 	})
 	if tr != nil {
@@ -539,8 +509,6 @@ func (e *Engine) Do(ctx context.Context, req Request) Response {
 	if ok {
 		out.Result, out.CacheHit = res, true
 		out.CacheTier = tier.String()
-		out.PassTimings = res.PassTimings
-		out.Trace = tr.Spans()
 		log.Debug("engine: result cache hit", "key", key.String(), "tier", out.CacheTier)
 		return out
 	}
@@ -557,25 +525,22 @@ func (e *Engine) Do(ctx context.Context, req Request) Response {
 	out.Result, out.Err, out.Coalesced = e.flights.do(ctx, key, func() (*core.Result, error) {
 		res, err := e.compile(ctx, x, req, qasmText)
 		if err == nil {
-			e.results.Put(store.Key(key), res, encodeResult)
+			e.results.Put(ctx, store.Key(key), res, encodeResult)
 		}
 		return res, err
 	})
 	if out.Coalesced {
 		e.coalesced.Add(1)
 		// The follower's own span and log line: it waited on an identical
-		// in-flight compilation under its own request ID, it did not run
-		// the leader's passes.
+		// in-flight compilation under its own trace, it did not run the
+		// leader's passes.
 		tr.Child(obs.SpanID(ctx), "coalesce.wait", flightStart, time.Since(flightStart))
 		log.Debug("engine: coalesced onto identical in-flight request",
 			"key", key.String(), "wait_ms", float64(time.Since(flightStart))/float64(time.Millisecond))
 	}
 	if out.Err != nil {
 		e.errors.Add(1)
-	} else {
-		out.PassTimings = out.Result.PassTimings
 	}
-	out.Trace = tr.Spans()
 	return out
 }
 
@@ -677,7 +642,7 @@ func (e *Engine) runStaged(ctx context.Context, x exec, req Request, qasmText st
 		scanCtx = obs.WithSpan(ctx, scanID)
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
-		snap, _, ok := e.stages.GetTraced(scanCtx, chain[i], pass.DecodeSnapshot)
+		snap, _, ok := e.stages.Get(scanCtx, chain[i], pass.DecodeSnapshot)
 		if !ok {
 			continue
 		}
@@ -709,7 +674,7 @@ func (e *Engine) runStaged(ctx context.Context, x exec, req Request, qasmText st
 			return // the final boundary is the result; the result cache owns it
 		}
 		if snap, ok := pass.Capture(st); ok {
-			e.stages.Put(chain[stage], snap, (*pass.Snapshot).Encode)
+			e.stages.Put(ctx, chain[stage], snap, (*pass.Snapshot).Encode)
 		}
 	}
 	res, err := pass.RunFrom(ctx, x.passes, st, start, after)

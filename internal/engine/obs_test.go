@@ -14,14 +14,14 @@ import (
 	"ssync/internal/obs"
 )
 
-// obsContext builds a context with a distinct request ID, a logger
-// writing into the returned buffer (at debug), and a fresh trace.
-func obsContext(id string) (context.Context, *bytes.Buffer, *obs.Trace) {
+// obsContext builds a context carrying a fresh trace and a logger bound
+// to its trace ID, writing into the returned buffer (at debug) — what
+// ssyncd's edge attaches to every request.
+func obsContext() (context.Context, *bytes.Buffer, *obs.Trace) {
 	var buf bytes.Buffer
-	ctx := obs.WithRequestID(context.Background(), id)
-	ctx = obs.WithLogger(ctx, slog.New(slog.NewTextHandler(&buf,
-		&slog.HandlerOptions{Level: slog.LevelDebug})).With("request_id", id))
 	tr := obs.NewTrace()
+	ctx := obs.WithLogger(context.Background(), slog.New(slog.NewTextHandler(&buf,
+		&slog.HandlerOptions{Level: slog.LevelDebug})).With("trace_id", tr.ID()))
 	ctx = obs.WithTrace(ctx, tr)
 	return ctx, &buf, tr
 }
@@ -43,12 +43,11 @@ func hasSpan(spans []obs.Span, name string) bool {
 	return false
 }
 
-// TestCoalescedFollowerKeepsOwnIdentity is the request-ID propagation
-// proof for the coalescing path: when a follower attaches to the
-// leader's in-flight compilation, its response still reports
-// Coalesced, its trace carries its own coalesce.wait span (not the
-// leader's pass spans), and its debug log lines carry the follower's
-// request ID — never the leader's.
+// TestCoalescedFollowerKeepsOwnIdentity is the identity proof for the
+// coalescing path: when a follower attaches to the leader's in-flight
+// compilation, its response still reports Coalesced, its own trace
+// carries its coalesce.wait span (not the leader's pass spans), and its
+// debug log lines carry the follower's trace ID — never the leader's.
 func TestCoalescedFollowerKeepsOwnIdentity(t *testing.T) {
 	var invocations atomic.Int64
 	started := make(chan struct{})
@@ -68,8 +67,8 @@ func TestCoalescedFollowerKeepsOwnIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	leadCtx, leadBuf, _ := obsContext("leader-id")
-	folCtx, folBuf, _ := obsContext("follower-id")
+	leadCtx, leadBuf, leadTr := obsContext()
+	folCtx, folBuf, folTr := obsContext()
 
 	var wg sync.WaitGroup
 	var leader, follower Response
@@ -102,32 +101,33 @@ func TestCoalescedFollowerKeepsOwnIdentity(t *testing.T) {
 
 	// The follower's trace is its own: a coalesce.wait span, no pass
 	// spans (it ran none).
-	if !hasSpan(follower.Trace, "coalesce.wait") {
-		t.Errorf("follower trace %v missing coalesce.wait", spanNames(follower.Trace))
+	folSpans := folTr.Spans()
+	if !hasSpan(folSpans, "coalesce.wait") {
+		t.Errorf("follower trace %v missing coalesce.wait", spanNames(folSpans))
 	}
-	for _, s := range follower.Trace {
+	for _, s := range folSpans {
 		if strings.HasPrefix(s.Name, "pass:") {
 			t.Errorf("follower trace carries leader pass span %q", s.Name)
 		}
 	}
 	// The leader ran the compilation; it must not claim the wait.
-	if hasSpan(leader.Trace, "coalesce.wait") {
-		t.Errorf("leader trace %v carries coalesce.wait", spanNames(leader.Trace))
+	if leadSpans := leadTr.Spans(); hasSpan(leadSpans, "coalesce.wait") {
+		t.Errorf("leader trace %v carries coalesce.wait", spanNames(leadSpans))
 	}
 
-	// Each request logged under its own ID.
+	// Each request logged under its own trace ID.
 	folLog := folBuf.String()
 	if !strings.Contains(folLog, "coalesced onto identical in-flight request") {
 		t.Errorf("follower log missing the coalescing mark:\n%s", folLog)
 	}
-	if !strings.Contains(folLog, "request_id=follower-id") {
-		t.Errorf("follower log lines missing the follower's request ID:\n%s", folLog)
+	if !strings.Contains(folLog, "trace_id="+folTr.ID()) {
+		t.Errorf("follower log lines missing the follower's trace ID:\n%s", folLog)
 	}
-	if strings.Contains(folLog, "leader-id") {
-		t.Errorf("follower log lines carry the leader's request ID:\n%s", folLog)
+	if strings.Contains(folLog, leadTr.ID()) {
+		t.Errorf("follower log lines carry the leader's trace ID:\n%s", folLog)
 	}
-	if strings.Contains(leadBuf.String(), "follower-id") {
-		t.Errorf("leader log lines carry the follower's request ID:\n%s", leadBuf.String())
+	if strings.Contains(leadBuf.String(), folTr.ID()) {
+		t.Errorf("leader log lines carry the follower's trace ID:\n%s", leadBuf.String())
 	}
 }
 
@@ -138,7 +138,7 @@ func TestTraceSpansCoverPipeline(t *testing.T) {
 	eng := New(Options{Workers: 2, StageCacheSize: 16})
 	req := testRequest(t, "BV_12", "S-4", 8, CompilerSSync)
 
-	ctx, _, _ := obsContext("trace-test")
+	ctx, _, tr := obsContext()
 	res := eng.Do(ctx, req)
 	if res.Err != nil {
 		t.Fatal(res.Err)
@@ -146,56 +146,44 @@ func TestTraceSpansCoverPipeline(t *testing.T) {
 	if res.CacheHit {
 		t.Fatal("first request hit the cache")
 	}
+	spans := tr.Spans()
 	for _, want := range []string{"cache.results", "admission", "cache.stages"} {
-		if !hasSpan(res.Trace, want) {
-			t.Errorf("trace %v missing %q", spanNames(res.Trace), want)
+		if !hasSpan(spans, want) {
+			t.Errorf("trace %v missing %q", spanNames(spans), want)
 		}
 	}
 	passSpans := 0
-	for _, s := range res.Trace {
+	for _, s := range spans {
 		if strings.HasPrefix(s.Name, "pass:") {
 			passSpans++
 		}
 	}
-	if passSpans != len(res.PassTimings) {
-		t.Errorf("%d pass spans for %d executed passes\n%v", passSpans, len(res.PassTimings), spanNames(res.Trace))
+	if passSpans != len(res.Result.PassTimings) {
+		t.Errorf("%d pass spans for %d executed passes\n%v", passSpans, len(res.Result.PassTimings), spanNames(spans))
 	}
 	// Span offsets must be ordered and non-negative.
-	for i, s := range res.Trace {
+	for i, s := range spans {
 		if s.Start < 0 || s.Dur < 0 {
 			t.Errorf("span %s has negative offset/duration: %v/%v", s.Name, s.Start, s.Dur)
 		}
-		if i > 0 && s.Start < res.Trace[i-1].Start {
-			t.Errorf("spans not ordered by start: %v", spanNames(res.Trace))
+		if i > 0 && s.Start < spans[i-1].Start {
+			t.Errorf("spans not ordered by start: %v", spanNames(spans))
 		}
 	}
 
-	ctx2, buf2, _ := obsContext("trace-hit")
+	ctx2, buf2, tr2 := obsContext()
 	hit := eng.Do(ctx2, req)
 	if hit.Err != nil || !hit.CacheHit {
 		t.Fatalf("second request: err=%v hit=%v", hit.Err, hit.CacheHit)
 	}
-	if !hasSpan(hit.Trace, "cache.results") {
-		t.Errorf("cache-hit trace %v missing cache.results", spanNames(hit.Trace))
+	hitSpans := tr2.Spans()
+	if !hasSpan(hitSpans, "cache.results") {
+		t.Errorf("cache-hit trace %v missing cache.results", spanNames(hitSpans))
 	}
-	if hasSpan(hit.Trace, "admission") {
-		t.Errorf("cache-hit trace %v went through admission", spanNames(hit.Trace))
+	if hasSpan(hitSpans, "admission") {
+		t.Errorf("cache-hit trace %v went through admission", spanNames(hitSpans))
 	}
 	if !strings.Contains(buf2.String(), "result cache hit") {
 		t.Errorf("cache hit not logged:\n%s", buf2.String())
-	}
-}
-
-// TestUntracedRequestHasNoTrace pins the opt-in contract: without
-// obs.WithTrace on the context, responses carry no spans and nothing
-// panics.
-func TestUntracedRequestHasNoTrace(t *testing.T) {
-	eng := New(Options{})
-	res := eng.Do(context.Background(), testRequest(t, "BV_12", "S-4", 8, CompilerSSync))
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Trace != nil {
-		t.Errorf("untraced request returned spans: %v", spanNames(res.Trace))
 	}
 }

@@ -175,8 +175,8 @@ func TestCannedAndExplicitPipelinesShareCache(t *testing.T) {
 	if got, want := named.Pipeline, []string{pass.DecomposeBasis, pass.PlaceGreedy, pass.RouteSSync}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("named response pipeline %v, want %v", got, want)
 	}
-	if len(named.PassTimings) != 3 {
-		t.Fatalf("named response carries %d pass timings, want 3", len(named.PassTimings))
+	if len(named.Result.PassTimings) != 3 {
+		t.Fatalf("named response carries %d pass timings, want 3", len(named.Result.PassTimings))
 	}
 
 	explicit := eng.Do(context.Background(), pipelineRequest(t, "QFT_12", "G-2x2", 8, ssyncSpecs()...))

@@ -115,9 +115,9 @@ func TestStagePrefixReuseAcrossRouteVariants(t *testing.T) {
 		if !reflect.DeepEqual(got.Result.Schedule, want.Result.Schedule) {
 			t.Errorf("%s: stage-cached schedule differs from plain compilation", route)
 		}
-		if len(got.PassTimings) != 3 {
+		if len(got.Result.PassTimings) != 3 {
 			t.Errorf("%s: response reports %d pass timings, want 3 (restored stages replayed)",
-				route, len(got.PassTimings))
+				route, len(got.Result.PassTimings))
 		}
 	}
 

@@ -63,7 +63,7 @@ func PassBreakdown(opt Options) (string, []PassRow, error) {
 		if res.Err != nil {
 			return "", nil, fmt.Errorf("exp: %s on %s with %s: %w", app, topoName, comp, res.Err)
 		}
-		for i, pt := range res.PassTimings {
+		for i, pt := range res.Result.PassTimings {
 			rows = append(rows, PassRow{
 				App: app, Topo: topoName, Compiler: comp,
 				Stage: i, Pass: pt.Pass, Duration: pt.Duration, GateDelta: pt.GateDelta,

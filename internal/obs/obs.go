@@ -1,11 +1,13 @@
 // Package obs is the observability core shared by every layer of the
-// service: request IDs minted at the HTTP edge and threaded through
-// context, per-request structured loggers (log/slog) that carry the ID
-// on every line, a dependency-free Prometheus-text-format metrics
-// registry, per-request trace spans, and the instrumentation Hooks
-// interface the compilation layers (engine, sched, store) call into.
-// The package imports only the standard library, so internal packages
-// can depend on it without ever touching the HTTP layer.
+// service: per-request traces whose spans are the one event stream
+// every layer reports into, per-request structured loggers (log/slog)
+// carrying the trace ID on every line, and a dependency-free
+// Prometheus-text-format metrics registry. The HTTP edge derives its
+// event histograms from the spans a trace records (ObserveSpans), so
+// the compilation layers (engine, sched, store) need no separate
+// instrumentation interface. The package imports only the standard
+// library, so internal packages can depend on it without ever touching
+// the HTTP layer.
 package obs
 
 import (
@@ -21,8 +23,7 @@ import (
 type ctxKey int
 
 const (
-	ctxRequestID ctxKey = iota
-	ctxLogger
+	ctxLogger ctxKey = iota
 	ctxTrace
 	ctxPrincipal
 	ctxSpan
@@ -33,7 +34,7 @@ const (
 var idFallback atomic.Uint64
 
 // newHexID mints 2n lowercase hex characters of randomness — n=8 for
-// request/span IDs, n=16 for trace IDs.
+// span IDs, n=16 for trace IDs.
 func newHexID(n int) string {
 	b := make([]byte, n)
 	if _, err := rand.Read(b); err != nil {
@@ -45,25 +46,8 @@ func newHexID(n int) string {
 	return hex.EncodeToString(b)
 }
 
-// NewRequestID mints a 16-hex-character request ID. IDs are random, not
-// sequential, so two replicas (or a restart) cannot collide.
-func NewRequestID() string { return newHexID(8) }
-
-// WithRequestID returns ctx carrying the request ID; RequestID recovers
-// it anywhere downstream (engine, scheduler, passes).
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ctxRequestID, id)
-}
-
-// RequestID returns the request ID carried by ctx, or "" when none was
-// attached.
-func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(ctxRequestID).(string)
-	return id
-}
-
 // WithLogger returns ctx carrying a request-scoped logger. The HTTP edge
-// attaches a logger pre-bound with the request ID, so every line any
+// attaches a logger pre-bound with the trace ID, so every line any
 // downstream layer logs through Logger(ctx) correlates to the request.
 func WithLogger(ctx context.Context, l *slog.Logger) context.Context {
 	return context.WithValue(ctx, ctxLogger, l)

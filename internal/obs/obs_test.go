@@ -10,35 +10,6 @@ import (
 	"time"
 )
 
-func TestNewRequestID(t *testing.T) {
-	seen := make(map[string]bool)
-	for i := 0; i < 100; i++ {
-		id := NewRequestID()
-		if len(id) != 16 {
-			t.Fatalf("len(%q) = %d, want 16", id, len(id))
-		}
-		for _, c := range id {
-			if !strings.ContainsRune("0123456789abcdef", c) {
-				t.Fatalf("non-hex character in %q", id)
-			}
-		}
-		if seen[id] {
-			t.Fatalf("duplicate ID %q", id)
-		}
-		seen[id] = true
-	}
-}
-
-func TestRequestIDContext(t *testing.T) {
-	if got := RequestID(context.Background()); got != "" {
-		t.Errorf("RequestID(bare ctx) = %q, want empty", got)
-	}
-	ctx := WithRequestID(context.Background(), "abc123")
-	if got := RequestID(ctx); got != "abc123" {
-		t.Errorf("RequestID = %q", got)
-	}
-}
-
 func TestLoggerContext(t *testing.T) {
 	if Logger(context.Background()) != slog.Default() {
 		t.Errorf("Logger(bare ctx) is not slog.Default()")
@@ -102,8 +73,8 @@ func TestNewLogger(t *testing.T) {
 func TestTrace(t *testing.T) {
 	tr := NewTrace()
 	base := tr.Origin()
-	tr.Add("second", base.Add(10*time.Millisecond), 5*time.Millisecond)
-	tr.Add("first", base, 2*time.Millisecond)
+	tr.Record("", "", "second", base.Add(10*time.Millisecond), 5*time.Millisecond, nil)
+	tr.Record("", "", "first", base, 2*time.Millisecond, nil)
 	spans := tr.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans", len(spans))
@@ -122,7 +93,7 @@ func TestTrace(t *testing.T) {
 
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
-	tr.Add("x", time.Now(), time.Millisecond) // must not panic
+	tr.Record("", "", "x", time.Now(), time.Millisecond, nil) // must not panic
 	if got := tr.Spans(); got != nil {
 		t.Errorf("nil trace spans = %v", got)
 	}

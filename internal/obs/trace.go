@@ -52,6 +52,9 @@ type Trace struct {
 	// inbound traceparent (a router's proxy-hop span); the edge parents
 	// its root span to it so stitched trees connect across processes.
 	remoteParent string
+	// observe, when set, sees every span offered to Record (see
+	// ObserveSpans).
+	observe func(Span)
 
 	mu      sync.Mutex
 	root    string
@@ -108,10 +111,16 @@ func (t *Trace) NewSpanID() string {
 	return newHexID(8)
 }
 
+// ObserveSpans makes fn see every span Record is offered on t, recorded
+// or dropped over the per-trace cap alike, so metrics derived from
+// spans count every event even when the trace itself is truncated. fn
+// runs on the recording goroutine outside the trace's lock and must be
+// safe for concurrent use. Call it once, before t is shared.
+func ObserveSpans(t *Trace, fn func(Span)) { t.observe = fn }
+
 // SetRoot declares the trace's root span ID before the root span itself
-// is recorded, so legacy Add calls (and anything else that wants "the
-// request" as its parent) parent correctly while the request is still
-// in flight.
+// is recorded, so a span recorded without a parent attaches to the
+// request's root while the request is still in flight.
 func (t *Trace) SetRoot(id string) {
 	if t == nil {
 		return
@@ -134,7 +143,8 @@ func (t *Trace) Root() string {
 // Record adds one fully specified span from its absolute start time and
 // duration. id "" mints one; parent "" parents to the declared root.
 // Past maxTraceSpans the span is dropped (counted), except the root
-// span itself, which is always recorded.
+// span itself, which is always recorded. Either way the span is then
+// handed to the trace's observer, if any.
 func (t *Trace) Record(id, parent, name string, start time.Time, d time.Duration, attrs map[string]string) {
 	if t == nil {
 		return
@@ -146,16 +156,19 @@ func (t *Trace) Record(id, parent, name string, start time.Time, d time.Duration
 	if parent == "" && id != t.root {
 		parent = t.root
 	}
-	if len(t.spans) >= maxTraceSpans && id != t.root {
-		t.dropped++
-		t.mu.Unlock()
-		return
-	}
-	t.spans = append(t.spans, Span{
+	sp := Span{
 		ID: id, Parent: parent, Name: name,
 		Start: start.Sub(t.origin), Dur: d, Attrs: attrs,
-	})
+	}
+	if len(t.spans) >= maxTraceSpans && id != t.root {
+		t.dropped++
+	} else {
+		t.spans = append(t.spans, sp)
+	}
 	t.mu.Unlock()
+	if t.observe != nil {
+		t.observe(sp)
+	}
 }
 
 // Child mints a span ID, records the span under parent, and returns the
@@ -167,12 +180,6 @@ func (t *Trace) Child(parent, name string, start time.Time, d time.Duration) str
 	id := newHexID(8)
 	t.Record(id, parent, name, start, d, nil)
 	return id
-}
-
-// Add records one span under the root from its absolute start time and
-// duration — the original flat-trace call, kept for embedders.
-func (t *Trace) Add(name string, start time.Time, d time.Duration) {
-	t.Record("", "", name, start, d, nil)
 }
 
 // Spans returns a copy of the recorded spans ordered by start offset.

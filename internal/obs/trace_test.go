@@ -18,7 +18,7 @@ func TestTraceIDsAndRoot(t *testing.T) {
 	}
 	tr.SetRoot(root)
 	start := time.Now()
-	tr.Add("legacy", start, time.Millisecond)
+	tr.Record("", "", "unparented", start, time.Millisecond, nil)
 	child := tr.Child(root, "child", start, time.Millisecond)
 	tr.Record(root, "", "http /v2/compile", start, 2*time.Millisecond, nil)
 
@@ -30,8 +30,8 @@ func TestTraceIDsAndRoot(t *testing.T) {
 	for _, s := range spans {
 		byName[s.Name] = s
 	}
-	if byName["legacy"].Parent != root {
-		t.Errorf("legacy Add span parent = %q, want root %q", byName["legacy"].Parent, root)
+	if byName["unparented"].Parent != root {
+		t.Errorf("span recorded without a parent has parent %q, want root %q", byName["unparented"].Parent, root)
 	}
 	if byName["child"].ID != child || byName["child"].Parent != root {
 		t.Errorf("child span = %+v, want id %q parent %q", byName["child"], child, root)
@@ -60,11 +60,13 @@ func TestContinueTraceParentsRootRemotely(t *testing.T) {
 
 func TestTraceSpanCapCountsDropped(t *testing.T) {
 	tr := NewTrace()
+	observed := map[string]int{}
+	ObserveSpans(tr, func(sp Span) { observed[sp.Name]++ })
 	root := tr.NewSpanID()
 	tr.SetRoot(root)
 	start := time.Now()
 	for i := 0; i < maxTraceSpans+50; i++ {
-		tr.Add("s", start, time.Microsecond)
+		tr.Record("", "", "s", start, time.Microsecond, nil)
 	}
 	// The root span must survive the cap.
 	tr.Record(root, "", "root", start, time.Millisecond, nil)
@@ -74,6 +76,10 @@ func TestTraceSpanCapCountsDropped(t *testing.T) {
 	if tr.Dropped() != 50 {
 		t.Errorf("dropped = %d, want 50", tr.Dropped())
 	}
+	// The observer sees every span, dropped ones included.
+	if observed["s"] != maxTraceSpans+50 || observed["root"] != 1 {
+		t.Errorf("observer saw %v, want %d spans named s and 1 root", observed, maxTraceSpans+50)
+	}
 }
 
 func TestNilTraceIsSafe(t *testing.T) {
@@ -82,7 +88,6 @@ func TestNilTraceIsSafe(t *testing.T) {
 		t.Fatal("nil trace accessors should return zero values")
 	}
 	tr.SetRoot("x")
-	tr.Add("a", time.Now(), 0)
 	tr.Record("", "", "b", time.Now(), 0, nil)
 	if tr.Child("", "c", time.Now(), 0) != "" {
 		t.Fatal("nil Child should return empty ID")

@@ -284,7 +284,7 @@ func RunFrom(ctx context.Context, passes []Pass, st *State, start int, after fun
 		st.Source = st.Circuit
 	}
 	// The request-scoped logger (if the edge attached one) carries the
-	// request ID, so per-pass lines correlate to the request that ran
+	// trace ID, so per-pass lines correlate to the request that ran
 	// them; the debug guard keeps the un-instrumented path free.
 	log := obs.Logger(ctx)
 	debug := log.Enabled(ctx, slog.LevelDebug)

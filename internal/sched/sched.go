@@ -121,11 +121,6 @@ type Config struct {
 	// Class overrides per-class weights and queue bounds; classes absent
 	// from the map keep their defaults.
 	Class map[Class]ClassConfig
-	// Hooks receives queue-wait observations for granted slots (nil: not
-	// instrumented). Shed decisions are also logged at debug level
-	// through the request context's logger, so a request-ID-threaded
-	// log shows why a request was rejected.
-	Hooks obs.Hooks
 }
 
 // Default per-class weights: a queued interactive request wins ~4 slot
@@ -203,7 +198,6 @@ const overflowPrincipal = "overflow"
 // priority classes with bounded queues and deadline-aware admission. It
 // is safe for concurrent use.
 type Scheduler struct {
-	hooks      obs.Hooks // nil: not instrumented
 	mu         sync.Mutex
 	slots      int
 	busy       int
@@ -224,7 +218,6 @@ func New(cfg Config) *Scheduler {
 	}
 	s := &Scheduler{
 		slots:      cfg.Slots,
-		hooks:      cfg.Hooks,
 		principals: make(map[string]*principalCounters),
 	}
 	for i := range s.classes {
@@ -255,6 +248,9 @@ func (s *Scheduler) Slots() int { return s.slots }
 // sentinels (ErrQueueFull, ErrDeadline) and carry a retry hint
 // (RetryAfter). Cancellation while queued returns ctx.Err(); a slot
 // granted concurrently with cancellation is handed back, never leaked.
+// A grant that had to queue records its wait as a "sched.queue" span on
+// ctx's trace; shed decisions are logged at debug level through ctx's
+// logger.
 func (s *Scheduler) Acquire(ctx context.Context, class Class) (release func(), err error) {
 	idx, ok := class.index()
 	if !ok {
@@ -311,9 +307,6 @@ func (s *Scheduler) Acquire(ctx context.Context, class Class) (release func(), e
 		c.admitted++
 		s.admitPrincipalLocked(principal)
 		s.mu.Unlock()
-		if s.hooks != nil {
-			s.hooks.QueueWait(string(Classes[idx]), time.Since(w.enqueued))
-		}
 		obs.TraceFrom(ctx).Record("", obs.SpanID(ctx), "sched.queue",
 			w.enqueued, time.Since(w.enqueued),
 			map[string]string{"class": string(Classes[idx])})

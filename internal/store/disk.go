@@ -15,8 +15,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"ssync/internal/obs"
 )
 
 // Blob layout: a fixed magic that versions the on-disk format, the
@@ -81,9 +79,6 @@ type diskEntry struct {
 // tier assumes it owns the index, so another daemon's evictions would
 // read as corrupt-blob misses and the byte caps would drift.
 type Disk struct {
-	// hooks receives per-operation latency observations; nil means not
-	// instrumented. Set once via SetHooks before concurrent use.
-	hooks obs.Hooks
 	// shared marks a tier opened with OpenDiskShared: reads take shared
 	// flocks, index misses probe the directory, and eviction runs under
 	// the cross-process lease instead of trusting the local index.
@@ -165,11 +160,6 @@ func openDisk(dir string, maxBytes int64, shared bool) (*Disk, error) {
 // Dir returns the tier's root directory.
 func (d *Disk) Dir() string { return d.dir }
 
-// SetHooks attaches the instrumentation hooks Get and Put report blob
-// I/O latency to. Call once, right after OpenDisk and before the tier
-// is shared between goroutines.
-func (d *Disk) SetHooks(h obs.Hooks) { d.hooks = h }
-
 // keyFromName parses "<64 hex chars>.blob" back into a key.
 func keyFromName(name string) (Key, bool) {
 	var k Key
@@ -195,16 +185,6 @@ func (d *Disk) path(k Key) string {
 // checksum run outside it, so concurrent lookups of different keys do
 // not serialize behind each other's I/O.
 func (d *Disk) Get(k Key) ([]byte, bool) {
-	if d.hooks == nil {
-		return d.get(k)
-	}
-	start := time.Now()
-	payload, ok := d.get(k)
-	d.hooks.DiskOp("get", ok, time.Since(start))
-	return payload, ok
-}
-
-func (d *Disk) get(k Key) ([]byte, bool) {
 	d.mu.Lock()
 	el, ok := d.index[k]
 	if !ok {
@@ -281,16 +261,6 @@ func (d *Disk) get(k Key) ([]byte, bool) {
 // between rename and index update merely leaves a valid blob the next
 // Open indexes.)
 func (d *Disk) Put(k Key, payload []byte) error {
-	if d.hooks == nil {
-		return d.put(k, payload)
-	}
-	start := time.Now()
-	err := d.put(k, payload)
-	d.hooks.DiskOp("put", err == nil, time.Since(start))
-	return err
-}
-
-func (d *Disk) put(k Key, payload []byte) error {
 	blobSize := int64(headerLen + len(payload))
 	if d.max > 0 && blobSize > d.max {
 		d.mu.Lock()

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ssync/internal/obs"
 )
 
 func keyOf(s string) Key { return Key(sha256.Sum256([]byte(s))) }
@@ -214,26 +217,27 @@ func TestDiskOpenRemovesStrayTempFiles(t *testing.T) {
 func identity(b []byte) ([]byte, error) { return b, nil }
 
 func TestTieredPromotesDiskHits(t *testing.T) {
+	ctx := context.Background()
 	disk, err := OpenDisk(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tiered := NewTiered[[]byte](1, disk)
 	a, b := keyOf("a"), keyOf("b")
-	tiered.Put(a, payload("a", 10), identity)
-	tiered.Put(b, payload("b", 10), identity) // evicts a from the 1-entry memory front
+	tiered.Put(ctx, a, payload("a", 10), identity)
+	tiered.Put(ctx, b, payload("b", 10), identity) // evicts a from the 1-entry memory front
 
-	if v, tier, ok := tiered.Get(b, identity); !ok || tier != TierMemory || string(v) != strings.Repeat("b", 10) {
+	if v, tier, ok := tiered.Get(ctx, b, identity); !ok || tier != TierMemory || string(v) != strings.Repeat("b", 10) {
 		t.Fatalf("b: tier=%v ok=%v", tier, ok)
 	}
 	// a fell out of memory but lives on disk; the hit promotes it back.
-	if _, tier, ok := tiered.Get(a, identity); !ok || tier != TierDisk {
+	if _, tier, ok := tiered.Get(ctx, a, identity); !ok || tier != TierDisk {
 		t.Fatalf("a after memory eviction: tier=%v ok=%v, want disk hit", tier, ok)
 	}
-	if _, tier, ok := tiered.Get(a, identity); !ok || tier != TierMemory {
+	if _, tier, ok := tiered.Get(ctx, a, identity); !ok || tier != TierMemory {
 		t.Fatalf("a after promotion: tier=%v ok=%v, want memory hit", tier, ok)
 	}
-	if _, tier, ok := tiered.Get(keyOf("absent"), identity); ok || tier != TierNone {
+	if _, tier, ok := tiered.Get(ctx, keyOf("absent"), identity); ok || tier != TierNone {
 		t.Fatalf("absent key: tier=%v ok=%v", tier, ok)
 	}
 
@@ -247,13 +251,14 @@ func TestTieredPromotesDiskHits(t *testing.T) {
 }
 
 func TestTieredMemoryOnly(t *testing.T) {
+	ctx := context.Background()
 	tiered := NewTiered[int](4, nil)
 	k := keyOf("n")
-	tiered.Put(k, 42, nil)
-	if v, tier, ok := tiered.Get(k, nil); !ok || tier != TierMemory || v != 42 {
+	tiered.Put(ctx, k, 42, nil)
+	if v, tier, ok := tiered.Get(ctx, k, nil); !ok || tier != TierMemory || v != 42 {
 		t.Fatalf("memory-only get: v=%d tier=%v ok=%v", v, tier, ok)
 	}
-	if _, _, ok := tiered.Get(keyOf("other"), nil); ok {
+	if _, _, ok := tiered.Get(ctx, keyOf("other"), nil); ok {
 		t.Fatal("hit on absent key")
 	}
 	if st := tiered.Stats(); st.HasDisk || st.MemHits != 1 || st.Misses != 1 {
@@ -262,20 +267,56 @@ func TestTieredMemoryOnly(t *testing.T) {
 }
 
 func TestTieredDecodeFailureIsAMiss(t *testing.T) {
+	ctx := context.Background()
 	disk, err := OpenDisk(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tiered := NewTiered[[]byte](1, disk)
 	a := keyOf("versioned")
-	tiered.Put(a, payload("v1", 5), identity)
-	tiered.Put(keyOf("spill"), payload("s", 5), identity) // push a out of memory
+	tiered.Put(ctx, a, payload("v1", 5), identity)
+	tiered.Put(ctx, keyOf("spill"), payload("s", 5), identity) // push a out of memory
 	bad := func([]byte) ([]byte, error) { return nil, fmt.Errorf("format bump") }
-	if _, _, ok := tiered.Get(a, bad); ok {
+	if _, _, ok := tiered.Get(ctx, a, bad); ok {
 		t.Fatal("undecodable blob served as a hit")
 	}
 	if st := tiered.Stats(); st.Errors != 1 || st.Misses != 1 {
 		t.Errorf("stats = %+v, want Errors=1 Misses=1", st)
+	}
+}
+
+// TestTieredRecordsDiskSpans: on a traced context every disk-tier blob
+// operation — and nothing served by the memory front — is one
+// "store.disk" span whose op and outcome attrs name what happened.
+func TestTieredRecordsDiskSpans(t *testing.T) {
+	disk, err := OpenDisk(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace()
+	ctx := obs.WithTrace(context.Background(), tr)
+	tiered := NewTiered[[]byte](1, disk)
+	a := keyOf("a")
+	tiered.Get(ctx, a, identity)                       // disk miss
+	tiered.Put(ctx, a, payload("a", 10), identity)     // disk put
+	tiered.Get(ctx, a, identity)                       // memory hit: no span
+	tiered.Put(ctx, keyOf("b"), payload("b", 10), nil) // memory only, evicts a: no span
+	tiered.Get(ctx, a, identity)                       // disk hit
+
+	var got []string
+	for _, sp := range tr.Spans() {
+		if sp.Name != "store.disk" {
+			t.Errorf("unexpected span %q", sp.Name)
+		}
+		got = append(got, sp.Attrs["op"]+"/"+sp.Attrs["outcome"])
+	}
+	want := []string{"get/miss", "put/ok", "get/ok"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("disk spans = %v, want %v", got, want)
+	}
+	st := disk.Stats()
+	if n := int(st.Hits + st.Misses + st.Puts); n != len(got) {
+		t.Errorf("%d disk spans for %d disk operations (%+v)", len(got), n, st)
 	}
 }
 

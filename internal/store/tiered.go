@@ -56,7 +56,8 @@ func (s TieredStats) HitRate() float64 {
 // decode and disk I/O (fsync included) run outside it, so a slow disk
 // write never blocks concurrent memory-tier hits; Stats still reads
 // every counter of this store under the one lock, which is what makes
-// it a consistent snapshot.
+// it a consistent snapshot. On a traced context (obs.WithTrace) every
+// disk-tier blob operation is recorded as a "store.disk" span.
 type Tiered[V any] struct {
 	mu       sync.Mutex
 	mem      *LRU[V]
@@ -78,7 +79,7 @@ func NewTiered[V any](memCap int, disk *Disk) *Tiered[V] {
 // Get returns the value stored under key and the tier that served it.
 // Disk blobs that fail to decode (e.g. written by an older format) are
 // absorbed as misses; the next Put overwrites them.
-func (t *Tiered[V]) Get(key Key, decode func([]byte) (V, error)) (V, Tier, bool) {
+func (t *Tiered[V]) Get(ctx context.Context, key Key, decode func([]byte) (V, error)) (V, Tier, bool) {
 	t.mu.Lock()
 	if v, ok := t.mem.Get(key); ok {
 		t.memHits++
@@ -88,7 +89,10 @@ func (t *Tiered[V]) Get(key Key, decode func([]byte) (V, error)) (V, Tier, bool)
 	t.mu.Unlock()
 	var zero V
 	if t.disk != nil && decode != nil {
-		if blob, ok := t.disk.Get(key); ok {
+		start := time.Now()
+		blob, ok := t.disk.Get(key)
+		recordDiskOp(ctx, "get", outcome(ok, "miss"), start)
+		if ok {
 			// Decode outside the lock; two concurrent misses may both
 			// decode and promote, which is benign — same key, same
 			// content.
@@ -111,37 +115,29 @@ func (t *Tiered[V]) Get(key Key, decode func([]byte) (V, error)) (V, Tier, bool)
 	return zero, TierNone, false
 }
 
-// GetTraced is Get plus a trace span for the disk tier: when the
-// request is traced and the lookup actually left the memory front (a
-// disk hit, or a miss with a disk tier attached), a "store.disk" span
-// is recorded under the current context span so tiered-cache latency —
-// the one cache cost that involves real I/O — shows up in the request
-// timeline. Untraced requests take the plain Get path unchanged.
-func (t *Tiered[V]) GetTraced(ctx context.Context, key Key, decode func([]byte) (V, error)) (V, Tier, bool) {
-	tr := obs.TraceFrom(ctx)
-	if tr == nil {
-		return t.Get(key, decode)
-	}
-	start := time.Now()
-	v, tier, ok := t.Get(key, decode)
-	if tier != TierMemory && t.disk != nil && decode != nil {
+// recordDiskOp records one disk-tier blob operation that began at start
+// as a "store.disk" span under ctx's current span, with its op ("get",
+// "put") and outcome ("ok", "miss", "error"); a no-op when ctx carries
+// no trace. The span times the blob I/O alone, not encode or decode.
+func recordDiskOp(ctx context.Context, op, outcome string, start time.Time) {
+	if tr := obs.TraceFrom(ctx); tr != nil {
 		tr.Record("", obs.SpanID(ctx), "store.disk", start, time.Since(start),
-			map[string]string{"hit": boolStr(tier == TierDisk)})
+			map[string]string{"op": op, "outcome": outcome})
 	}
-	return v, tier, ok
 }
 
-func boolStr(b bool) string {
-	if b {
-		return "true"
+// outcome names a disk operation's result: "ok", or failed otherwise.
+func outcome(ok bool, failed string) string {
+	if ok {
+		return "ok"
 	}
-	return "false"
+	return failed
 }
 
 // Put stores the value under key in the memory front and, when a disk
 // tier is attached, as an encoded blob. Encode or write failures degrade
 // to a memory-only store (counted in Errors), never a lost value.
-func (t *Tiered[V]) Put(key Key, v V, encode func(V) ([]byte, error)) {
+func (t *Tiered[V]) Put(ctx context.Context, key Key, v V, encode func(V) ([]byte, error)) {
 	t.mu.Lock()
 	t.mem.Put(key, v)
 	t.puts++
@@ -154,7 +150,9 @@ func (t *Tiered[V]) Put(key Key, v V, encode func(V) ([]byte, error)) {
 	// content addressing already gives.
 	blob, err := encode(v)
 	if err == nil {
+		start := time.Now()
 		err = t.disk.Put(key, blob)
+		recordDiskOp(ctx, "put", outcome(err == nil, "error"), start)
 	}
 	if err != nil {
 		t.mu.Lock()

@@ -32,7 +32,7 @@ func TestPublicPipelineMatchesCannedCompiler(t *testing.T) {
 	if !explicit.CacheHit && !named.CacheHit {
 		t.Error("equivalent requests did not share the default engine's cache")
 	}
-	if len(named.PassTimings) == 0 {
+	if len(named.Result.PassTimings) == 0 {
 		t.Error("canned compile reports no pass timings")
 	}
 }

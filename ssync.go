@@ -634,8 +634,8 @@ type TraceSpan = obs.Span
 
 // RequestTrace collects TraceSpans for one request under a shared
 // 32-hex trace ID. Attach one to a context with WithTrace and the
-// engine records span events into it; Engine responses surface the
-// collected spans in Response.Trace.
+// engine records span events into it; read them back with its Spans
+// method once the request is done.
 type RequestTrace = obs.Trace
 
 // TraceRecorder is the bounded in-memory flight recorder behind
@@ -683,21 +683,9 @@ func WithTrace(ctx context.Context, tr *RequestTrace) context.Context {
 // *RequestTrace is safe to record into (no-op).
 func TraceFrom(ctx context.Context) *RequestTrace { return obs.TraceFrom(ctx) }
 
-// NewRequestID mints a fresh 16-hex-character request correlation ID.
-func NewRequestID() string { return obs.NewRequestID() }
-
-// WithRequestID returns ctx carrying the request correlation ID.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return obs.WithRequestID(ctx, id)
-}
-
-// RequestIDFrom returns the request correlation ID carried by ctx, or
-// "".
-func RequestIDFrom(ctx context.Context) string { return obs.RequestID(ctx) }
-
 // WithLogger returns ctx carrying a request-scoped structured logger;
 // the engine and passes emit their debug lines through it, so
-// attaching a logger pre-tagged with the request ID correlates every
+// attaching a logger pre-tagged with the trace ID correlates every
 // line to its request.
 func WithLogger(ctx context.Context, log *slog.Logger) context.Context {
 	return obs.WithLogger(ctx, log)
@@ -705,22 +693,3 @@ func WithLogger(ctx context.Context, log *slog.Logger) context.Context {
 
 // LoggerFrom returns the logger carried by ctx, or slog.Default().
 func LoggerFrom(ctx context.Context) *slog.Logger { return obs.Logger(ctx) }
-
-// EngineHooks is the event-level instrumentation interface
-// (EngineOptions.Hooks): pass executions, admission-queue waits and
-// disk-tier blob operations. Embed obs.NopHooks for forward
-// compatibility, or use NewServiceMetrics for the standard
-// histogram-backed implementation.
-type EngineHooks = obs.Hooks
-
-// MetricsRegistry is a dependency-free Prometheus-text-format metric
-// registry; it serves GET /metrics as an http.Handler.
-type MetricsRegistry = obs.Registry
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// NewServiceMetrics registers the standard compilation-event histogram
-// families (pass duration, queue wait, disk op latency) on reg and
-// returns the EngineHooks feeding them.
-func NewServiceMetrics(reg *MetricsRegistry) EngineHooks { return obs.NewServiceMetrics(reg) }
