@@ -23,7 +23,7 @@ func main() {
 		qasmFile  = flag.String("qasm", "", "path to an OpenQASM 2.0 file (alternative to -bench)")
 		topoName  = flag.String("topo", "G-2x3", "topology: L-n, G-rxc or S-n")
 		capacity  = flag.Int("cap", 0, "per-trap capacity (default: the paper's choice for the topology)")
-		compiler  = flag.String("compiler", "ssync", "registered compiler: ssync, murali, dai or ssync-annealed")
+		compiler  = flag.String("compiler", "ssync", "compiler: ssync, murali, dai or ssync-annealed")
 		mapName   = flag.String("mapping", "gathering", "initial mapping for ssync: gathering, even-divided or sta")
 		gateModel = flag.String("gate", "FM", "two-qubit gate implementation: FM, PM, AM1 or AM2")
 		verify    = flag.Bool("verify", false, "verify schedule semantics by state-vector simulation (<= 22 qubits)")

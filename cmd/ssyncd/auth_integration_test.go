@@ -100,8 +100,8 @@ func postKeyed(t *testing.T, url, key string, body any, out any) *http.Response 
 	return resp
 }
 
-func compileBody(label string) compileRequestV2 {
-	return compileRequestV2{Label: label, Benchmark: "QFT_8", Topology: "G-2x2", Capacity: 8}
+func compileBody(label string) compileRequest {
+	return compileRequest{Label: label, Benchmark: "QFT_8", Topology: "G-2x2", Capacity: 8}
 }
 
 // TestAuthRequiredRejectsHostileInputs: a service with a keys file and
@@ -112,7 +112,7 @@ func TestAuthRequiredRejectsHostileInputs(t *testing.T) {
 	keys := writeKeyFile(t, auth.HashKey("good-key")+" alice")
 	_, ts := newAuthServer(t, engine.Options{Workers: 2}, 2, keys, false, "test-secret")
 
-	var ok compileResponseV2
+	var ok compileResponse
 	if resp := postKeyed(t, ts.URL+"/v2/compile", "good-key", compileBody("ok"), &ok); resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid key: status %d", resp.StatusCode)
 	}
@@ -193,7 +193,7 @@ func TestQuotaDegradesBeforeShedding(t *testing.T) {
 
 	want := []string{"interactive", "interactive", "batch", "batch", "background", "background"}
 	for i, cls := range want {
-		var got compileResponseV2
+		var got compileResponse
 		resp := postKeyed(t, ts.URL+"/v2/compile", "key-a", compileBody(fmt.Sprintf("r%d", i)), &got)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d", i, resp.StatusCode)
@@ -248,9 +248,9 @@ func TestQuotaIsolatesPrincipals(t *testing.T) {
 	bobRound := func() []time.Duration {
 		var durs []time.Duration
 		for i, b := range []string{"QFT_8", "BV_8", "QFT_10", "BV_10", "QFT_12", "BV_12"} {
-			body := compileRequestV2{Label: fmt.Sprintf("bob%d", i), Benchmark: b, Topology: "G-2x2", Capacity: 8}
+			body := compileRequest{Label: fmt.Sprintf("bob%d", i), Benchmark: b, Topology: "G-2x2", Capacity: 8}
 			start := time.Now()
-			var got compileResponseV2
+			var got compileResponse
 			if resp := postKeyed(t, ts.URL+"/v2/compile", "key-bob", body, &got); resp.StatusCode != http.StatusOK {
 				t.Fatalf("bob %s: status %d", b, resp.StatusCode)
 			}
@@ -292,7 +292,7 @@ func TestQuotaIsolatesPrincipals(t *testing.T) {
 					return
 				default:
 				}
-				body := compileRequestV2{
+				body := compileRequest{
 					Label: fmt.Sprintf("flood%d-%d", c, i), Benchmark: "QFT_12",
 					Topology: "G-2x2", Capacity: 8, Priority: "interactive",
 				}
@@ -341,12 +341,12 @@ func TestBatchChargesPerEntry(t *testing.T) {
 	keys := writeKeyFile(t, auth.HashKey("key-b")+" batcher rate=0.001 burst=2")
 	_, ts := newAuthServer(t, engine.Options{Workers: 2}, 2, keys, false, "")
 
-	var entries []compileRequestV2
+	var entries []compileRequest
 	for i := 0; i < 6; i++ {
 		entries = append(entries, compileBody(fmt.Sprintf("e%d", i)))
 	}
-	var got batchResponseV2
-	resp := postKeyed(t, ts.URL+"/v2/batch", "key-b", batchRequestV2{Requests: entries}, &got)
+	var got batchResponse
+	resp := postKeyed(t, ts.URL+"/v2/batch", "key-b", batchRequest{Requests: entries}, &got)
 	if resp.StatusCode != http.StatusOK || got.Errors != 0 {
 		t.Fatalf("batch: status %d errors %d", resp.StatusCode, got.Errors)
 	}
@@ -367,7 +367,7 @@ func TestAuthOptionalAnonymous(t *testing.T) {
 	keys := writeKeyFile(t, auth.HashKey("good-key")+" alice")
 	_, ts := newAuthServer(t, engine.Options{Workers: 2}, 2, keys, true, "")
 
-	var got compileResponseV2
+	var got compileResponse
 	if resp := postJSON(t, ts.URL+"/v2/compile", compileBody("anon"), &got); resp.StatusCode != http.StatusOK {
 		t.Fatalf("anonymous compile: status %d", resp.StatusCode)
 	}
@@ -457,7 +457,7 @@ func TestClusterKeysLiveOnlyAtEdge(t *testing.T) {
 	// A valid key compiles through the fleet, and the principal's
 	// max-priority=batch cap traveled inside the signed identity: the
 	// replica clamps the interactive default down to batch.
-	var got compileResponseV2
+	var got compileResponse
 	if resp := postKeyed(t, front.URL+"/v2/compile", "key-a", compileBody("ok"), &got); resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid key via router: status %d", resp.StatusCode)
 	}
@@ -470,7 +470,7 @@ func TestClusterKeysLiveOnlyAtEdge(t *testing.T) {
 	// edge) — and the keys never left the edge.
 	var sawAlpha bool
 	for _, srv := range reps {
-		st := srv.statsV2()
+		st := srv.stats()
 		if st.Auth != nil && len(st.Auth.Principals) > 0 {
 			t.Fatalf("replica enforcer charged a forwarded request: %+v", st.Auth.Principals)
 		}
@@ -527,7 +527,7 @@ func TestClusterKeysLiveOnlyAtEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var smuggled compileResponseV2
+	var smuggled compileResponse
 	json.NewDecoder(resp.Body).Decode(&smuggled)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || smuggled.Priority != "batch" {

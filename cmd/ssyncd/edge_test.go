@@ -155,17 +155,17 @@ func TestSpanHistogramsMatchStats(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	// 9 sizes × 5 topologies × 3 compilers = 135 distinct cold entries.
-	var batch batchRequestV2
+	var batch batchRequest
 	for n := 4; n <= 12; n++ {
 		for _, topo := range []string{"S-4", "G-2x2", "L-4", "L-6", "G-2x3"} {
 			for _, comp := range []string{"ssync", "murali", "dai"} {
-				batch.Requests = append(batch.Requests, compileRequestV2{
+				batch.Requests = append(batch.Requests, compileRequest{
 					Benchmark: fmt.Sprintf("BV_%d", n), Topology: topo, Capacity: 8, Compiler: comp,
 				})
 			}
 		}
 	}
-	var out batchResponseV2
+	var out batchResponse
 	postJSON(t, ts.URL+"/v2/batch", batch, &out)
 	if out.Errors != 0 || len(out.Results) != len(batch.Requests) {
 		t.Fatalf("batch: %d errors over %d results", out.Errors, len(out.Results))

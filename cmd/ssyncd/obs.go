@@ -22,25 +22,6 @@ import (
 // its event histograms from them, next to counters and gauges mirrored
 // from the engine's Stats snapshot at scrape time.
 
-// knownRoutes is the allowlist the HTTP metrics label routes against.
-// Anything else — typos, scans, probes — collapses into "other", so an
-// attacker cannot mint unbounded label cardinality by walking paths.
-var knownRoutes = map[string]bool{
-	"/v2/compile": true, "/v2/batch": true, "/v2/compilers": true,
-	"/v2/passes": true, "/v2/stats": true, "/v2/traces": true,
-	"/metrics": true,
-}
-
-func routeLabel(path string) string {
-	if knownRoutes[path] {
-		return path
-	}
-	if strings.HasPrefix(path, "/v2/traces/") {
-		return "/v2/traces/{id}"
-	}
-	return "other"
-}
-
 // maxRequestIDLen bounds an accepted inbound X-Request-ID; longer (or
 // invalid) values are replaced with the trace ID rather than echoed, so
 // a hostile header cannot smuggle bytes into responses.
@@ -155,7 +136,7 @@ func (e edge) handler(next http.Handler) http.Handler {
 		ctx = obs.WithSpan(ctx, rootID)
 		ctx = withPrincipalTag(ctx, tag)
 
-		route := routeLabel(r.URL.Path)
+		route := obs.RouteLabel(r.URL.Path)
 		if e.metrics != nil {
 			e.metrics.begin()
 		}

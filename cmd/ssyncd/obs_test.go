@@ -53,9 +53,9 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// Drive some traffic so every family has cells: a compile (miss),
 	// its repeat (hit), and a bad route.
-	var first, second compileResponseV2
-	postJSON(t, ts.URL+"/v2/compile", compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, &first)
-	postJSON(t, ts.URL+"/v2/compile", compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, &second)
+	var first, second compileResponse
+	postJSON(t, ts.URL+"/v2/compile", compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, &first)
+	postJSON(t, ts.URL+"/v2/compile", compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, &second)
 	if first.Error != "" || !second.CacheHit {
 		t.Fatalf("traffic setup failed: first.err=%q second.hit=%v", first.Error, second.CacheHit)
 	}
@@ -118,8 +118,8 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestRequestIDEndToEnd(t *testing.T) {
 	ts, logBuf := observedServer(t)
 
-	var out compileResponseV2
-	resp := postJSON(t, ts.URL+"/v2/compile", compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, &out)
+	var out compileResponse
+	resp := postJSON(t, ts.URL+"/v2/compile", compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, &out)
 	id := resp.Header.Get("X-Request-ID")
 	if !obs.IsTraceID(id) {
 		t.Fatalf("minted X-Request-ID = %q, want a 32-hex trace ID", id)
@@ -181,15 +181,15 @@ func TestCoalescedFollowerGetsOwnRequestID(t *testing.T) {
 	// compiles; the coalesced follower's response carries its own trace.
 	ts, _ := observedServer(t)
 
-	body := compileRequestV2{Benchmark: "QFT_16", Topology: "G-2x3", Capacity: 8}
+	body := compileRequest{Benchmark: "QFT_16", Topology: "G-2x3", Capacity: 8}
 	type result struct {
-		out compileResponseV2
+		out compileResponse
 		id  string
 	}
 	results := make(chan result, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			var out compileResponseV2
+			var out compileResponse
 			resp := postJSON(t, ts.URL+"/v2/compile", body, &out)
 			results <- result{out, resp.Header.Get("X-Request-ID")}
 		}()

@@ -70,22 +70,22 @@ func newClusterFleet(t *testing.T, n int) (string, []*clusterReplica, *cluster.R
 
 // compileVia posts one /v2/compile body through the front end and
 // decodes the response; non-200 statuses are returned as errors.
-func compileVia(front, body string) (compileResponseV2, error) {
+func compileVia(front, body string) (compileResponse, error) {
 	resp, err := http.Post(front+"/v2/compile", "application/json", strings.NewReader(body))
 	if err != nil {
-		return compileResponseV2{}, err
+		return compileResponse{}, err
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return compileResponseV2{}, err
+		return compileResponse{}, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return compileResponseV2{}, fmt.Errorf("status %d: %s", resp.StatusCode, b)
+		return compileResponse{}, fmt.Errorf("status %d: %s", resp.StatusCode, b)
 	}
-	var out compileResponseV2
+	var out compileResponse
 	if err := json.Unmarshal(b, &out); err != nil {
-		return compileResponseV2{}, err
+		return compileResponse{}, err
 	}
 	return out, nil
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // ssyncPipelineV2 is the canned ssync pipeline written out explicitly.
-func ssyncPipelineV2() []passSpecV2 {
-	return []passSpecV2{
+func ssyncPipelineV2() []passSpec {
+	return []passSpec{
 		{Name: pass.DecomposeBasis}, {Name: pass.PlaceGreedy}, {Name: pass.RouteSSync},
 	}
 }
@@ -19,9 +19,9 @@ func TestCompileV2ExplicitPipeline(t *testing.T) {
 	ts := testServer(t)
 
 	// Compile by canned name first...
-	var named compileResponseV2
+	var named compileResponse
 	resp := postJSON(t, ts.URL+"/v2/compile",
-		compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Compiler: "ssync"}, &named)
+		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Compiler: "ssync"}, &named)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -38,9 +38,9 @@ func TestCompileV2ExplicitPipeline(t *testing.T) {
 	}
 
 	// ...then the identical explicit pipeline: same key, served from cache.
-	var explicit compileResponseV2
+	var explicit compileResponse
 	resp = postJSON(t, ts.URL+"/v2/compile",
-		compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8,
+		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8,
 			Pipeline: ssyncPipelineV2()}, &explicit)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("explicit pipeline status %d", resp.StatusCode)
@@ -59,11 +59,11 @@ func TestCompileV2ExplicitPipeline(t *testing.T) {
 	// A genuinely different pipeline — verified, annealed placement — is a
 	// different request that still compiles.
 	seed := int64(7)
-	var custom compileResponseV2
+	var custom compileResponse
 	resp = postJSON(t, ts.URL+"/v2/compile",
-		compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8,
+		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8,
 			AnnealSeed: &seed,
-			Pipeline: []passSpecV2{
+			Pipeline: []passSpec{
 				{Name: pass.DecomposeBasis},
 				{Name: pass.PlaceAnnealed},
 				{Name: pass.RouteSSync},
@@ -82,15 +82,15 @@ func TestCompileV2ExplicitPipeline(t *testing.T) {
 
 func TestCompileV2PipelineValidation(t *testing.T) {
 	ts := testServer(t)
-	cases := []compileRequestV2{
+	cases := []compileRequest{
 		// compiler and pipeline are mutually exclusive
 		{Benchmark: "BV_12", Topology: "S-4", Capacity: 8, Compiler: "ssync", Pipeline: ssyncPipelineV2()},
 		// unknown pass
 		{Benchmark: "BV_12", Topology: "S-4", Capacity: 8,
-			Pipeline: []passSpecV2{{Name: "llvm-mem2reg"}}},
+			Pipeline: []passSpec{{Name: "llvm-mem2reg"}}},
 		// malformed pass options
 		{Benchmark: "BV_12", Topology: "S-4", Capacity: 8,
-			Pipeline: []passSpecV2{
+			Pipeline: []passSpec{
 				{Name: pass.DecomposeBasis},
 				{Name: pass.PlaceGreedy, Options: json.RawMessage(`{"mapping":"qiskit"}`)},
 				{Name: pass.RouteSSync}}},
@@ -99,7 +99,7 @@ func TestCompileV2PipelineValidation(t *testing.T) {
 		// inert overrides: no stage of this pipeline reads the scheduler
 		// or annealer config, so the knobs must be rejected, not ignored
 		{Benchmark: "BV_12", Topology: "S-4", Capacity: 8, Mapping: "sta",
-			Pipeline: []passSpecV2{{Name: pass.DecomposeBasis}, {Name: pass.RouteMurali}}},
+			Pipeline: []passSpec{{Name: pass.DecomposeBasis}, {Name: pass.RouteMurali}}},
 		{Benchmark: "BV_12", Topology: "S-4", Capacity: 8, AnnealSeed: new(int64),
 			Pipeline: ssyncPipelineV2()},
 	}
@@ -113,8 +113,8 @@ func TestCompileV2PipelineValidation(t *testing.T) {
 	// A pipeline that builds but cannot produce a result is a compile-time
 	// failure (422), not a validation error.
 	resp := postJSON(t, ts.URL+"/v2/compile",
-		compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8,
-			Pipeline: []passSpecV2{{Name: pass.DecomposeBasis}}}, nil)
+		compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8,
+			Pipeline: []passSpec{{Name: pass.DecomposeBasis}}}, nil)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("result-less pipeline: status %d, want 422", resp.StatusCode)
 	}
@@ -122,12 +122,12 @@ func TestCompileV2PipelineValidation(t *testing.T) {
 
 func TestBatchV2AcceptsPipelines(t *testing.T) {
 	ts := testServer(t)
-	req := batchRequestV2{Requests: []compileRequestV2{
+	req := batchRequest{Requests: []compileRequest{
 		{Label: "named", Benchmark: "BV_12", Topology: "S-4", Capacity: 8, Compiler: "murali"},
 		{Label: "staged", Benchmark: "BV_12", Topology: "S-4", Capacity: 8,
-			Pipeline: []passSpecV2{{Name: pass.DecomposeBasis}, {Name: pass.RouteMurali}}},
+			Pipeline: []passSpec{{Name: pass.DecomposeBasis}, {Name: pass.RouteMurali}}},
 	}}
-	var got batchResponseV2
+	var got batchResponse
 	resp := postJSON(t, ts.URL+"/v2/batch", req, &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -152,7 +152,7 @@ func TestPassesV2Endpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var got passesResponseV2
+	var got passesResponse
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
@@ -176,17 +176,17 @@ func TestPassesV2Endpoint(t *testing.T) {
 func TestStatsV2ReportsPassTimings(t *testing.T) {
 	ts := testServer(t)
 	postJSON(t, ts.URL+"/v2/compile",
-		compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, nil)
+		compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, nil)
 	// A cache hit must not re-count pass runs.
 	postJSON(t, ts.URL+"/v2/compile",
-		compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, nil)
+		compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, nil)
 
 	resp, err := http.Get(ts.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statsResponseV2
+	var st statsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

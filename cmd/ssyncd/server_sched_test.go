@@ -11,53 +11,86 @@ import (
 	"testing"
 	"time"
 
-	"ssync/internal/core"
 	"ssync/internal/engine"
+	"ssync/internal/pass"
 )
 
-// schedTestSeq keeps test-compiler registrations unique: the registry
+// schedTestSeq keeps test-pass registrations unique: the pass registry
 // is process-wide and append-only, and the race CI job reruns the suite
 // in one process (-count=3).
 var schedTestSeq atomic.Uint64
 
+// gatedPass is a test compiler: one pass that reports its label on
+// starts, then blocks until released.
+type gatedPass struct {
+	name    string
+	label   string
+	starts  chan string
+	proceed chan struct{}
+}
+
+func (p gatedPass) Name() string      { return p.name }
+func (p gatedPass) Signature() string { return p.label }
+
+func (p gatedPass) Run(ctx context.Context, st *pass.State) error {
+	select {
+	case p.starts <- p.label:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	select {
+	case <-p.proceed:
+		// The server renders results through the scoring simulation, so
+		// the stand-in must produce a real schedule.
+		res, err := engine.Direct(engine.Request{Circuit: st.Circuit, Topo: st.Topo})
+		st.Result = res
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 // gatedServer builds a server over a 1-slot cacheless engine plus a
-// registered compiler that reports starts and blocks until released, so
-// tests can saturate the scheduler deterministically.
-func gatedServer(t *testing.T, queueLimit int) (ts *httptest.Server, compiler string, starts chan string, proceed chan struct{}) {
+// registered gated pass that reports starts and blocks until released,
+// so tests can saturate the scheduler deterministically. gated returns a
+// QFT_12/G-2x2 request compiled by that pass alone, which reports label
+// (the request's label too) when it starts.
+func gatedServer(t *testing.T, queueLimit int) (ts *httptest.Server, gated func(label string) compileRequest, starts chan string, proceed chan struct{}) {
 	t.Helper()
 	starts = make(chan string, 32)
 	proceed = make(chan struct{})
-	compiler = fmt.Sprintf("test/gated#%d", schedTestSeq.Add(1))
-	engine.MustRegister(compiler, func(ctx context.Context, req engine.Request) (*core.Result, error) {
-		select {
-		case starts <- req.Label:
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	name := fmt.Sprintf("test/gated#%d", schedTestSeq.Add(1))
+	pass.MustRegister(name, func(options json.RawMessage) (pass.Pass, error) {
+		var o struct {
+			Label string `json:"label"`
 		}
-		select {
-		case <-proceed:
-			// The server renders results through the scoring simulation,
-			// so the stand-in must produce a real schedule.
-			return engine.Direct(engine.Request{Circuit: req.Circuit, Topo: req.Topo})
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		if err := json.Unmarshal(options, &o); err != nil {
+			return nil, err
 		}
+		return gatedPass{name: name, label: o.Label, starts: starts, proceed: proceed}, nil
 	})
+	gated = func(label string) compileRequest {
+		opts, _ := json.Marshal(map[string]string{"label": label})
+		return compileRequest{
+			Label: label, Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8,
+			Pipeline: []passSpec{{Name: name, Options: opts}},
+		}
+	}
 	srv := newServer(engine.New(engine.Options{CacheSize: -1, Workers: 1, QueueLimit: queueLimit}), 1, time.Minute)
 	ts = httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
-	return ts, compiler, starts, proceed
+	return ts, gated, starts, proceed
 }
 
 // statsV2 fetches /v2/stats.
-func statsV2(t *testing.T, ts *httptest.Server) statsResponseV2 {
+func statsV2(t *testing.T, ts *httptest.Server) statsResponse {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out statsResponseV2
+	var out statsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -86,17 +119,16 @@ func waitQueued(t *testing.T, ts *httptest.Server, want int) {
 // /v2/compile rejects new arrivals with 429 + Retry-After and a
 // structured error body — never a generic 500.
 func TestQueueFullSheds429(t *testing.T) {
-	ts, compiler, starts, proceed := gatedServer(t, 1)
-	req := compileRequestV2{Label: "held", Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Compiler: compiler}
+	ts, gated, starts, proceed := gatedServer(t, 1)
+	req := gated("held")
 
 	var wg sync.WaitGroup
 	post := func(label string) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := req
-			r.Label = label
-			var got compileResponseV2
+			r := gated(label)
+			var got compileResponse
 			if resp := postJSON(t, ts.URL+"/v2/compile", r, &got); resp.StatusCode != http.StatusOK {
 				t.Errorf("%s: status %d", label, resp.StatusCode)
 			}
@@ -141,7 +173,7 @@ func TestQueueFullSheds429(t *testing.T) {
 // overruns is rejected at admission with 503 + Retry-After — the
 // request never queues and never times out.
 func TestDeadlineSheds503(t *testing.T) {
-	ts, compiler, starts, proceed := gatedServer(t, -1)
+	ts, gated, starts, proceed := gatedServer(t, -1)
 	// Seed the scheduler's service-time estimate with one uncontended
 	// ~500ms compile (the gated compiler held open for that long): the
 	// EWMA lands near 60ms, far above the probe's 25ms budget, and the
@@ -149,11 +181,11 @@ func TestDeadlineSheds503(t *testing.T) {
 	// loaded CI runner cannot expire the context before admission runs
 	// (which would surface as 504 instead of the 503 under test).
 	var wg sync.WaitGroup
-	seed := compileRequestV2{Label: "seed", Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Compiler: compiler}
+	seed := gated("seed")
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var got compileResponseV2
+		var got compileResponse
 		if resp := postJSON(t, ts.URL+"/v2/compile", seed, &got); resp.StatusCode != http.StatusOK {
 			t.Errorf("seed: status %d", resp.StatusCode)
 		}
@@ -164,20 +196,18 @@ func TestDeadlineSheds503(t *testing.T) {
 	wg.Wait()
 
 	// Saturate the only slot again.
-	hold := seed
-	hold.Label = "held"
+	hold := gated("held")
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var got compileResponseV2
+		var got compileResponse
 		if resp := postJSON(t, ts.URL+"/v2/compile", hold, &got); resp.StatusCode != http.StatusOK {
 			t.Errorf("held: status %d", resp.StatusCode)
 		}
 	}()
 	<-starts
 
-	doomed := seed
-	doomed.Label = "doomed"
+	doomed := gated("doomed")
 	doomed.DeadlineMs = 25 // ~60ms estimate against a 25ms budget
 	var errBody map[string]string
 	resp := postJSON(t, ts.URL+"/v2/compile", doomed, &errBody)
@@ -198,12 +228,12 @@ func TestPriorityValidation(t *testing.T) {
 	ts := testServer(t)
 	var errBody map[string]string
 	resp := postJSON(t, ts.URL+"/v2/compile",
-		compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Priority: "urgent"}, &errBody)
+		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Priority: "urgent"}, &errBody)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown priority status = %d, want 400", resp.StatusCode)
 	}
 	resp = postJSON(t, ts.URL+"/v2/compile",
-		compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, DeadlineMs: -5}, &errBody)
+		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, DeadlineMs: -5}, &errBody)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative deadline_ms status = %d, want 400", resp.StatusCode)
 	}
@@ -214,17 +244,16 @@ func TestPriorityValidation(t *testing.T) {
 // envelope — the entry carries the status the same failure would earn
 // on /v2/compile (429) plus the per-entry Retry-After equivalent.
 func TestBatchEntryShedKeepsContract(t *testing.T) {
-	ts, compiler, starts, proceed := gatedServer(t, 1)
-	req := compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Compiler: compiler, Priority: "batch"}
+	ts, gated, starts, proceed := gatedServer(t, 1)
 
 	var wg sync.WaitGroup
 	post := func(label string) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := req
-			r.Label = label
-			var got compileResponseV2
+			r := gated(label)
+			r.Priority = "batch"
+			var got compileResponse
 			if resp := postJSON(t, ts.URL+"/v2/compile", r, &got); resp.StatusCode != http.StatusOK {
 				t.Errorf("%s: status %d", label, resp.StatusCode)
 			}
@@ -237,10 +266,10 @@ func TestBatchEntryShedKeepsContract(t *testing.T) {
 	post("queued") // fills the 1-deep batch queue at the construction limiter
 	waitQueued(t, ts, 1)
 
-	var got batchResponseV2
-	resp := postJSON(t, ts.URL+"/v2/batch", batchRequestV2{Requests: []compileRequestV2{
-		{Label: "shed-me", Benchmark: "BV_12", Topology: "S-4", Capacity: 8, Compiler: compiler},
-	}}, &got)
+	shed := gated("shed-me")
+	shed.Benchmark, shed.Topology = "BV_12", "S-4"
+	var got batchResponse
+	resp := postJSON(t, ts.URL+"/v2/batch", batchRequest{Requests: []compileRequest{shed}}, &got)
 	if resp.StatusCode != http.StatusOK || got.Errors != 1 {
 		t.Fatalf("batch envelope: status %d, %d errors; want 200 with 1 entry error", resp.StatusCode, got.Errors)
 	}
@@ -262,8 +291,8 @@ func TestBatchEntriesDefaultToBatchClass(t *testing.T) {
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
 
-	var got batchResponseV2
-	resp := postJSON(t, ts.URL+"/v2/batch", batchRequestV2{Requests: []compileRequestV2{
+	var got batchResponse
+	resp := postJSON(t, ts.URL+"/v2/batch", batchRequest{Requests: []compileRequest{
 		{Label: "a", Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8},
 		{Label: "b", Benchmark: "BV_12", Topology: "G-2x2", Capacity: 8, Priority: "background"},
 	}}, &got)

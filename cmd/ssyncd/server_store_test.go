@@ -28,10 +28,10 @@ func tieredServer(t *testing.T, dir string) *httptest.Server {
 	return ts
 }
 
-func pipelineWireRequest(route string) compileRequestV2 {
-	return compileRequestV2{
+func pipelineWireRequest(route string) compileRequest {
+	return compileRequest{
 		Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8,
-		Pipeline: []passSpecV2{{Name: "decompose-basis"}, {Name: "place-greedy"}, {Name: route}},
+		Pipeline: []passSpec{{Name: "decompose-basis"}, {Name: "place-greedy"}, {Name: route}},
 	}
 }
 
@@ -42,7 +42,7 @@ func pipelineWireRequest(route string) compileRequestV2 {
 func TestStatsReportStoreTiers(t *testing.T) {
 	ts := tieredServer(t, t.TempDir())
 	for _, route := range []string{"route-ssync", "route-murali", "route-dai"} {
-		var got compileResponseV2
+		var got compileResponse
 		resp := postJSON(t, ts.URL+"/v2/compile", pipelineWireRequest(route), &got)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", route, resp.StatusCode)
@@ -57,7 +57,7 @@ func TestStatsReportStoreTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer httpResp.Body.Close()
-	var st statsResponseV2
+	var st statsResponse
 	if err := json.NewDecoder(httpResp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +87,10 @@ func TestStatsReportStoreTiers(t *testing.T) {
 // request as a disk-tier cache hit without compiling anything.
 func TestRestartServesFromDiskTier(t *testing.T) {
 	dir := t.TempDir()
-	req := compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}
+	req := compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}
 
 	first := tieredServer(t, dir)
-	var cold compileResponseV2
+	var cold compileResponse
 	if resp := postJSON(t, first.URL+"/v2/compile", req, &cold); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -100,7 +100,7 @@ func TestRestartServesFromDiskTier(t *testing.T) {
 	first.Close()
 
 	restarted := tieredServer(t, dir)
-	var warm compileResponseV2
+	var warm compileResponse
 	if resp := postJSON(t, restarted.URL+"/v2/compile", req, &warm); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -116,7 +116,7 @@ func TestRestartServesFromDiskTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer httpResp.Body.Close()
-	var st statsResponseV2
+	var st statsResponse
 	if err := json.NewDecoder(httpResp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

@@ -41,9 +41,9 @@ func postJSON(t *testing.T, url string, body any, out any) *http.Response {
 
 func TestCompileEndpoint(t *testing.T) {
 	ts := testServer(t)
-	var got compileResponseV2
+	var got compileResponse
 	resp := postJSON(t, ts.URL+"/v2/compile",
-		compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8}, &got)
+		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8}, &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -61,9 +61,9 @@ func TestCompileEndpoint(t *testing.T) {
 	}
 
 	// The identical request must come back from the cache.
-	var again compileResponseV2
+	var again compileResponse
 	postJSON(t, ts.URL+"/v2/compile",
-		compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8}, &again)
+		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8}, &again)
 	if !again.CacheHit {
 		t.Error("repeat request missed the cache")
 	}
@@ -75,9 +75,9 @@ func TestCompileEndpoint(t *testing.T) {
 func TestCompileInlineQASM(t *testing.T) {
 	ts := testServer(t)
 	src := "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n"
-	var got compileResponseV2
+	var got compileResponse
 	resp := postJSON(t, ts.URL+"/v2/compile",
-		compileRequestV2{QASM: src, Topology: "L-2", Capacity: 4, Compiler: "murali"}, &got)
+		compileRequest{QASM: src, Topology: "L-2", Capacity: 4, Compiler: "murali"}, &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -90,7 +90,7 @@ func TestCompileRejectsBadRequests(t *testing.T) {
 	ts := testServer(t)
 	// Hostile topology parameters must come back as 400s, not reach the
 	// panicking device constructors (negative capacity / dimensions).
-	hostile := []compileRequestV2{
+	hostile := []compileRequest{
 		{Benchmark: "QFT_12", Topology: "L-6", Capacity: -1},
 		{Benchmark: "QFT_12", Topology: "G--1x2"},
 		{Benchmark: "QFT_12", Topology: "S-0", Capacity: 8},
@@ -114,13 +114,13 @@ func TestCompileRejectsBadRequests(t *testing.T) {
 
 func TestBatchEndpoint(t *testing.T) {
 	ts := testServer(t)
-	req := batchRequestV2{Requests: []compileRequestV2{
+	req := batchRequest{Requests: []compileRequest{
 		{Label: "a", Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8},
 		{Label: "b", Benchmark: "BV_12", Topology: "S-4", Capacity: 8, Compiler: "dai"},
 		{Label: "broken", Topology: "G-2x2"},
 		{Label: "c", Benchmark: "Adder_4", Topology: "S-4", Capacity: 8, Mapping: "sta"},
 	}}
-	var got batchResponseV2
+	var got batchResponse
 	resp := postJSON(t, ts.URL+"/v2/batch", req, &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -146,7 +146,7 @@ func TestBatchEndpoint(t *testing.T) {
 func TestTimeoutStatusIs504(t *testing.T) {
 	ts := testServer(t)
 	resp := postJSON(t, ts.URL+"/v2/compile",
-		compileRequestV2{Benchmark: "QFT_64", Topology: "G-3x3", TimeoutMs: 1}, nil)
+		compileRequest{Benchmark: "QFT_64", Topology: "G-3x3", TimeoutMs: 1}, nil)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("timed-out compile: status %d, want 504", resp.StatusCode)
 	}
@@ -155,17 +155,17 @@ func TestTimeoutStatusIs504(t *testing.T) {
 func TestBatchLimits(t *testing.T) {
 	ts := testServer(t)
 	// Entry-count limit.
-	big := batchRequestV2{Requests: make([]compileRequestV2, maxBatchJobs+1)}
+	big := batchRequest{Requests: make([]compileRequest, maxBatchJobs+1)}
 	for i := range big.Requests {
-		big.Requests[i] = compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}
+		big.Requests[i] = compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}
 	}
 	if resp := postJSON(t, ts.URL+"/v2/batch", big, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized batch: status %d, want 400", resp.StatusCode)
 	}
 	// Aggregate-size budget: each entry is individually legal.
-	var heavy batchRequestV2
+	var heavy batchRequest
 	for i := 0; i < maxBatchSizeBudget/maxBenchmarkSize+1; i++ {
-		heavy.Requests = append(heavy.Requests, compileRequestV2{
+		heavy.Requests = append(heavy.Requests, compileRequest{
 			Benchmark: fmt.Sprintf("QFT_%d", maxBenchmarkSize), Topology: "L-6",
 		})
 	}
@@ -179,14 +179,14 @@ func TestPortfolioStatusCodes(t *testing.T) {
 	// Well-formed but uncompilable (circuit larger than the device) must
 	// be 422, matching the non-portfolio path.
 	resp := postJSON(t, ts.URL+"/v2/compile",
-		compileRequestV2{Benchmark: "QFT_64", Topology: "G-2x2", Capacity: 4, Portfolio: true}, nil)
+		compileRequest{Benchmark: "QFT_64", Topology: "G-2x2", Capacity: 4, Portfolio: true}, nil)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("infeasible portfolio: status %d, want 422", resp.StatusCode)
 	}
 	// A mapping override contradicts racing all strategies: reject loudly
 	// rather than silently ignoring it.
 	resp = postJSON(t, ts.URL+"/v2/compile",
-		compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Portfolio: true, Mapping: "sta"}, nil)
+		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Portfolio: true, Mapping: "sta"}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("portfolio+mapping: status %d, want 400", resp.StatusCode)
 	}
@@ -194,9 +194,9 @@ func TestPortfolioStatusCodes(t *testing.T) {
 
 func TestPortfolioCompile(t *testing.T) {
 	ts := testServer(t)
-	var got compileResponseV2
+	var got compileResponse
 	resp := postJSON(t, ts.URL+"/v2/compile",
-		compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Portfolio: true}, &got)
+		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Portfolio: true}, &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -208,16 +208,16 @@ func TestPortfolioCompile(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	ts := testServer(t)
 	postJSON(t, ts.URL+"/v2/compile",
-		compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, nil)
+		compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, nil)
 	postJSON(t, ts.URL+"/v2/compile",
-		compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, nil)
+		compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, nil)
 
 	resp, err := http.Get(ts.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statsResponseV2
+	var st statsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -229,5 +229,166 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st.Workers != 4 {
 		t.Errorf("workers = %d, want 4", st.Workers)
+	}
+}
+
+func TestCompileV2Endpoint(t *testing.T) {
+	ts := testServer(t)
+	var got compileResponse
+	resp := postJSON(t, ts.URL+"/v2/compile",
+		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8}, &got)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if got.Qubits != 12 || got.Compiler != "ssync" || got.Topology != "G-2x2" {
+		t.Errorf("unexpected response: %+v", got)
+	}
+	if got.Key == "" {
+		t.Error("missing content-address key")
+	}
+}
+
+func TestCompileV2AnnealedCompiler(t *testing.T) {
+	ts := testServer(t)
+	seed := int64(7)
+	var got compileResponse
+	resp := postJSON(t, ts.URL+"/v2/compile",
+		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8,
+			Compiler: "ssync-annealed", AnnealSeed: &seed}, &got)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if got.Compiler != "ssync-annealed" {
+		t.Errorf("compiler = %q, want ssync-annealed", got.Compiler)
+	}
+
+	// A different seed is a different request: distinct cache key.
+	other := int64(8)
+	var reseeded compileResponse
+	postJSON(t, ts.URL+"/v2/compile",
+		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8,
+			Compiler: "ssync-annealed", AnnealSeed: &other}, &reseeded)
+	if reseeded.Key == got.Key {
+		t.Error("anneal_seed does not reach the cache key")
+	}
+	if reseeded.CacheHit {
+		t.Error("differently-seeded request reported a cache hit")
+	}
+
+	// The same seed is the same request: cache hit.
+	var again compileResponse
+	postJSON(t, ts.URL+"/v2/compile",
+		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8,
+			Compiler: "ssync-annealed", AnnealSeed: &seed}, &again)
+	if !again.CacheHit {
+		t.Error("identically-seeded request missed the cache")
+	}
+}
+
+// invalidCompileRequests are /v2/compile bodies a replica refuses with
+// 400; FuzzCompileBody seeds from them too.
+var invalidCompileRequests = func() []compileRequest {
+	seed := int64(1)
+	return []compileRequest{
+		{Topology: "G-2x2"}, // no circuit
+		{Benchmark: "QFT_12", QASM: "x", Topology: "G-2x2"},                                       // both
+		{Benchmark: "QFT_12"},                                                                     // no topology
+		{Benchmark: "QFT_12", Topology: "Z-9"},                                                    // unknown device
+		{Benchmark: "QFT_12", Topology: "G-2x2", Mapping: "bogus"},                                // unknown mapping
+		{Benchmark: "QFT_12", Topology: "G-2x2", Compiler: "qiskit"},                              // unknown (cap default)
+		{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Compiler: "qiskit"},                 // unknown
+		{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Compiler: "murali", Mapping: "sta"}, // mapping on baseline
+		{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, AnnealSeed: &seed},                  // seed on plain ssync
+		{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Portfolio: true, AnnealSeed: &seed}, // seed on portfolio
+	}
+}()
+
+func TestCompileV2Validation(t *testing.T) {
+	ts := testServer(t)
+	for i, req := range invalidCompileRequests {
+		resp := postJSON(t, ts.URL+"/v2/compile", req, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("case %d: status %d, want 400", i, resp.StatusCode)
+		}
+	}
+
+	// The unknown-compiler error names the known set.
+	raw := struct {
+		Error string `json:"error"`
+	}{}
+	postJSON(t, ts.URL+"/v2/compile",
+		compileRequest{Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8, Compiler: "qiskit"}, &raw)
+	if raw.Error == "" {
+		t.Fatal("unknown compiler produced no error body")
+	}
+}
+
+func TestBatchV2Endpoint(t *testing.T) {
+	ts := testServer(t)
+	req := batchRequest{Requests: []compileRequest{
+		{Label: "a", Benchmark: "QFT_12", Topology: "G-2x2", Capacity: 8},
+		{Label: "b", Benchmark: "BV_12", Topology: "S-4", Capacity: 8, Compiler: "ssync-annealed"},
+		{Label: "broken", Topology: "G-2x2"},
+	}}
+	var got batchResponse
+	resp := postJSON(t, ts.URL+"/v2/batch", req, &got)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if len(got.Results) != 3 || got.Errors != 1 {
+		t.Fatalf("results=%d errors=%d, want 3/1", len(got.Results), got.Errors)
+	}
+	if got.Results[1].Compiler != "ssync-annealed" {
+		t.Errorf("entry b compiled with %q", got.Results[1].Compiler)
+	}
+	if got.Results[2].Error == "" {
+		t.Error("malformed entry did not report an error")
+	}
+}
+
+func TestCompilersV2Endpoint(t *testing.T) {
+	ts := testServer(t)
+	resp, err := http.Get(ts.URL + "/v2/compilers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got compilersResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, name := range engine.Compilers() {
+		want[name] = true
+	}
+	for _, name := range []string{"murali", "dai", "ssync", "ssync-annealed"} {
+		if !want[name] {
+			t.Fatalf("engine lacks compiler %q", name)
+		}
+	}
+	if len(got.Compilers) != len(engine.Compilers()) {
+		t.Errorf("endpoint lists %d compilers, engine has %d", len(got.Compilers), len(engine.Compilers()))
+	}
+}
+
+func TestStatsV2Endpoint(t *testing.T) {
+	ts := testServer(t)
+	postJSON(t, ts.URL+"/v2/compile",
+		compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, nil)
+
+	resp, err := http.Get(ts.URL + "/v2/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st statsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.JobsCompiled != 1 {
+		t.Errorf("jobs_compiled = %d, want 1", st.JobsCompiled)
+	}
+	if len(st.Compilers) == 0 {
+		t.Error("v2 stats carries no compiler listing")
 	}
 }

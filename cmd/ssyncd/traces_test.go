@@ -66,8 +66,8 @@ func spansByName(doc obs.TraceDoc) map[string][]obs.SpanDoc {
 func TestTraceEndToEndSingleReplica(t *testing.T) {
 	ts, _ := observedServer(t)
 
-	var out compileResponseV2
-	resp := postJSON(t, ts.URL+"/v2/compile", compileRequestV2{Benchmark: "QFT_12", Topology: "G-2x3", Capacity: 8}, &out)
+	var out compileResponse
+	resp := postJSON(t, ts.URL+"/v2/compile", compileRequest{Benchmark: "QFT_12", Topology: "G-2x3", Capacity: 8}, &out)
 	if out.Error != "" {
 		t.Fatalf("compile error: %q", out.Error)
 	}
@@ -407,8 +407,8 @@ func TestBuildInfoAndTraceMetrics(t *testing.T) {
 	ts, _ := observedServer(t)
 
 	// One request so the recorder has something to count.
-	var out compileResponseV2
-	postJSON(t, ts.URL+"/v2/compile", compileRequestV2{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, &out)
+	var out compileResponse
+	postJSON(t, ts.URL+"/v2/compile", compileRequest{Benchmark: "BV_12", Topology: "S-4", Capacity: 8}, &out)
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

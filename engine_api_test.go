@@ -100,38 +100,6 @@ func TestPublicDoAndCompileRequests(t *testing.T) {
 	}
 }
 
-func TestPublicRegisterCompiler(t *testing.T) {
-	if err := RegisterCompiler("", nil); err == nil {
-		t.Error("empty registration accepted")
-	}
-	err := RegisterCompiler("public-test/echo",
-		func(ctx context.Context, req CompileRequest) (*CompileResult, error) {
-			resp := Do(ctx, CompileRequest{Circuit: req.Circuit, Topo: req.Topo})
-			return resp.Result, resp.Err
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, name := range Compilers() {
-		if name == "public-test/echo" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("registered compiler missing from Compilers() = %v", Compilers())
-	}
-	resp := Do(context.Background(), CompileRequest{
-		Circuit: QFT(8), Topo: GridDevice(2, 2, 6), Compiler: "public-test/echo",
-	})
-	if resp.Err != nil {
-		t.Fatal(resp.Err)
-	}
-	if resp.Compiler != "public-test/echo" {
-		t.Errorf("response compiler = %q", resp.Compiler)
-	}
-}
-
 func TestPublicNewEngineStats(t *testing.T) {
 	eng := NewEngine(EngineOptions{CacheSize: 4})
 	pool := CompilePool{Engine: eng, Workers: 2}

@@ -1,5 +1,5 @@
 // Adder pipeline: the paper's flagship result (Sec. 5.1) in miniature —
-// compile the Cuccaro ripple-carry adder with every registered compiler
+// compile the Cuccaro ripple-carry adder with every built-in compiler
 // on the same device through the unified CompileRequest API and compare
 // shuttles, SWAPs and success rate. On Adder_32 the paper reports up to
 // a 90.2% shuttle reduction and a 2.3x success improvement for S-SYNC;

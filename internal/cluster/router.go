@@ -179,24 +179,6 @@ func (r *Router) Close() {
 	r.wg.Wait()
 }
 
-// clusterRoutes is the label allowlist for the proxy latency histogram;
-// unknown paths collapse into "other" so path scans cannot mint label
-// cardinality.
-var clusterRoutes = map[string]bool{
-	"/v2/compile": true, "/v2/batch": true, "/v2/compilers": true,
-	"/v2/passes": true, "/v2/stats": true, "/v2/traces": true,
-}
-
-func clusterRouteLabel(path string) string {
-	if clusterRoutes[path] {
-		return path
-	}
-	if strings.HasPrefix(path, "/v2/traces/") {
-		return "/v2/traces/{id}"
-	}
-	return "other"
-}
-
 // hop-by-hop headers are connection-scoped and must not be forwarded.
 var hopHeaders = []string{
 	"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
@@ -235,7 +217,7 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 
 	start := time.Now()
-	route := clusterRouteLabel(req.URL.Path)
+	route := obs.RouteLabel(req.URL.Path)
 	tr := obs.TraceFrom(req.Context())
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.maxBody))

@@ -1,11 +1,12 @@
 // Package engine is the concurrent compilation layer on top of the
 // S-SYNC compiler stack: a request-oriented compilation API (Request →
-// Response via Engine.Do) dispatching through a pluggable compiler
-// registry (Register), a worker-pool batch compiler (Pool), a tiered
-// content-addressed result cache keyed by the canonical form of each
-// request (Key), single-flight coalescing of identical in-flight
-// requests, and portfolio racing (Race) that runs several strategies for
-// one circuit concurrently and keeps the best schedule. It exists so
+// Response via Engine.Do) that runs every request as a pass pipeline
+// (internal/pass; a built-in compiler name is a canned one), a
+// worker-pool batch compiler (Pool), a tiered content-addressed result
+// cache keyed by the canonical form of each request (Key), single-flight
+// coalescing of identical in-flight requests, and portfolio racing
+// (Race) that runs several strategies for one circuit concurrently and
+// keeps the best schedule. It exists so
 // that services handling many compilation requests — the experiment
 // grids in internal/exp, cmd/ssyncd, or any embedding — can saturate the
 // machine and skip recompiling identical requests entirely.
@@ -32,8 +33,8 @@ import (
 	"ssync/internal/store"
 )
 
-// Request is one compilation request: a circuit, a device, a registered
-// compiler name and optional per-compiler configuration. It is the single
+// Request is one compilation request: a circuit, a device, a compiler
+// name or pass pipeline, and optional configuration. It is the single
 // input type of the compilation API — Engine.Do, Pool.RunRequests and
 // Engine.Race all consume it.
 type Request struct {
@@ -43,11 +44,11 @@ type Request struct {
 	Circuit *circuit.Circuit
 	// Topo is the target device.
 	Topo *device.Topology
-	// Compiler names a registry entry ("murali", "dai", "ssync",
-	// "ssync-annealed", or anything added via Register). "" selects
-	// "ssync". Unknown names fail with *UnknownCompilerError. The
-	// built-in names are canned pass pipelines; requests wanting a
-	// different stage composition set Pipeline instead.
+	// Compiler names a built-in compiler ("murali", "dai", "ssync" or
+	// "ssync-annealed"); "" selects "ssync". Unknown names fail with
+	// *UnknownCompilerError. Each name is a canned pass pipeline;
+	// requests wanting another stage composition, or a strategy of their
+	// own (a registered pass), set Pipeline instead.
 	Compiler string
 	// Pipeline, when non-empty, compiles through an explicit staged
 	// pipeline instead of a named compiler: each Spec addresses the
@@ -100,14 +101,14 @@ type Request struct {
 type Response struct {
 	// Label echoes Request.Label.
 	Label string
-	// Compiler is the resolved registry name that handled the request
+	// Compiler is the resolved compiler name that handled the request
 	// ("" in the request resolves to "ssync" here). Requests compiled
 	// through an explicit Pipeline have no compiler name; Pipeline
 	// identifies them instead.
 	Compiler string
 	// Pipeline lists the executed pipeline's pass names in stage order:
 	// the canned expansion for built-in compiler names, the request's
-	// explicit pipeline otherwise. Nil for opaque registered compilers.
+	// explicit pipeline otherwise.
 	Pipeline []string
 	// Key is the request's content address (zero on cacheless engines,
 	// which skip content addressing).
@@ -405,14 +406,13 @@ func (e *Engine) recordStageHits(names []string) {
 }
 
 // Do handles one compilation request: it resolves the execution plan —
-// an explicit pass pipeline, a built-in compiler name's canned pipeline,
-// or an opaque registered compiler — consults the finished-result cache,
-// attaches to an identical in-flight compilation when one exists
-// (single-flight), and otherwise compiles. Cancellation of ctx or expiry
-// of the request's timeout interrupts the compiler cooperatively —
-// registered compilers and passes poll the context — so when Do returns,
-// no work is still running on this request's behalf and failed results
-// are never cached.
+// an explicit pass pipeline or a built-in compiler name's canned
+// pipeline — consults the finished-result cache, attaches to an
+// identical in-flight compilation when one exists (single-flight), and
+// otherwise compiles. Cancellation of ctx or expiry of the request's
+// timeout interrupts the compilation cooperatively — passes poll the
+// context — so when Do returns, no work is still running on this
+// request's behalf and failed results are never cached.
 func (e *Engine) Do(ctx context.Context, req Request) Response {
 	out := Response{Label: req.Label}
 	if req.Circuit == nil || req.Topo == nil {
@@ -552,9 +552,9 @@ func (e *Engine) Do(ctx context.Context, req Request) Response {
 // propagate as this compilation's structured error (services map them
 // to 429/503). Pipeline executions go through the stage cache when one
 // is configured — resuming from the longest cached prefix and
-// publishing snapshots at newly executed boundaries. Registered
-// compilers and passes are cooperatively cancellable, so this runs on
-// the calling goroutine and holds it until compilation really stops.
+// publishing snapshots at newly executed boundaries. Passes are
+// cooperatively cancellable, so this runs on the calling goroutine and
+// holds it until compilation really stops.
 func (e *Engine) compile(ctx context.Context, x exec, req Request, qasmText string) (*core.Result, error) {
 	tr := obs.TraceFrom(ctx)
 	if tr != nil {
@@ -661,13 +661,7 @@ func (e *Engine) runStaged(ctx context.Context, x exec, req Request, qasmText st
 			map[string]string{"restored": strconv.Itoa(start)})
 	}
 	if st == nil {
-		st = &pass.State{
-			Source:  req.Circuit,
-			Circuit: req.Circuit,
-			Topo:    req.Topo,
-			Config:  ssyncConfig(req),
-			Anneal:  annealConfig(req),
-		}
+		st = newState(req)
 	}
 	after := func(stage int, st *pass.State) {
 		if stage >= len(chain) {
@@ -682,12 +676,6 @@ func (e *Engine) runStaged(ctx context.Context, x exec, req Request, qasmText st
 		return nil, nil, err
 	}
 	return res, st.Timings[start:], nil
-}
-
-// Limit runs fn while holding one of the engine's worker slots at
-// interactive priority; see LimitAs.
-func (e *Engine) Limit(ctx context.Context, fn func() error) error {
-	return e.LimitAs(ctx, sched.Interactive, fn)
 }
 
 // LimitAs runs fn while holding one of the engine's worker slots,
@@ -714,11 +702,10 @@ func (e *Engine) LimitAs(ctx context.Context, class sched.Class, fn func() error
 }
 
 // Direct is the uncached, unbounded dispatch: it resolves the request's
-// execution plan (explicit pipeline, canned pipeline, or registered
-// compiler) and runs it on the calling goroutine with no engine
-// involved. Engine.Do wraps it with caching, coalescing and deadlines;
-// serial callers (and the experiment runners' reference path) may call
-// it directly.
+// execution plan (explicit or canned pipeline) and runs it on the
+// calling goroutine with no engine involved. Engine.Do wraps it with
+// caching, coalescing and deadlines; serial callers (and the experiment
+// runners' reference path) may call it directly.
 func Direct(req Request) (*core.Result, error) {
 	x, err := resolveExec(req)
 	if err != nil {

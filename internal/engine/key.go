@@ -14,11 +14,11 @@ import (
 
 // Key content-addresses one compilation request. Two requests share a key
 // exactly when their canonical OpenQASM, device layout, and execution
-// plan — the full resolved pass pipeline with per-pass options, or the
-// opaque compiler name with its configuration — coincide, so a key hit is
-// a proof the cached schedule answers the new request. Built-in compiler
-// names key as their canned pipelines, so Request.Compiler "ssync" and
-// the equivalent explicit Request.Pipeline share one key.
+// plan — the full resolved pass pipeline with per-pass options and the
+// configurations its passes read — coincide, so a key hit is a proof the
+// cached schedule answers the new request. Built-in compiler names key
+// as their canned pipelines, so Request.Compiler "ssync" and the
+// equivalent explicit Request.Pipeline share one key.
 type Key [sha256.Size]byte
 
 // String renders the key as lowercase hex.
@@ -44,10 +44,10 @@ const stageKeyVersion = "ssync-stage-v1"
 // stable across gate-order-preserving re-parses; the topology enters via
 // its name plus full trap/segment layout; the execution plan enters via
 // the resolved pipeline — every pass name and canonical options
-// signature, stage by stage — or, for opaque registered compilers, the
-// registry name. The S-SYNC/annealer configurations enter via their
-// Go-syntax renderings (deterministic field order), at the granularity
-// the pipeline's passes declare they read them (pass.ConfigUse).
+// signature, stage by stage. The S-SYNC/annealer configurations enter
+// via their Go-syntax renderings (deterministic field order), at the
+// granularity the pipeline's passes declare they read them
+// (pass.ConfigUse).
 func RequestKey(req Request) (Key, error) {
 	x, err := resolveExec(req)
 	if err != nil {
@@ -129,20 +129,8 @@ func execKey(req Request, x exec, qasmText string) (Key, error) {
 	h := sha256.New()
 	io.WriteString(h, keyVersion)
 	hashRequestBase(h, req, qasmText)
-	if x.passes != nil {
-		hashStages(h, x.passes)
-		hashConfigs(h, req, pass.PipelineUse(x.passes))
-	} else {
-		// Opaque registered compilers hash by registry name — distinct
-		// entries can never collide — plus the resolved configurations
-		// they may read from the request.
-		io.WriteString(h, "\x00compiler\x00")
-		fmt.Fprintf(h, "%d\x00%s", len(x.compiler), x.compiler)
-		io.WriteString(h, "\x00config\x00")
-		fmt.Fprintf(h, "%#v", ssyncConfig(req))
-		io.WriteString(h, "\x00anneal\x00")
-		io.WriteString(h, opaqueAnnealSignature(req))
-	}
+	hashStages(h, x.passes)
+	hashConfigs(h, req, pass.PipelineUse(x.passes))
 	h.Sum(k[:0])
 	return k, nil
 }
@@ -155,10 +143,9 @@ func execKey(req Request, x exec, qasmText string) (Key, error) {
 // (e.g. the same decompose→place under a different router) derives the
 // same key and can resume from the cached snapshot. The chain covers
 // boundaries 0..len-2; the final boundary is the finished result, which
-// execKey addresses. Nil for opaque compilers and single-stage
-// pipelines.
+// execKey addresses. Nil for single-stage pipelines.
 func prefixKeys(req Request, x exec, qasmText string) []store.Key {
-	if x.passes == nil || len(x.passes) < 2 || req.Circuit == nil || req.Topo == nil {
+	if len(x.passes) < 2 || req.Circuit == nil || req.Topo == nil {
 		return nil
 	}
 	if qasmText == "" {
@@ -174,15 +161,4 @@ func prefixKeys(req Request, x exec, qasmText string) []store.Key {
 		h.Sum(keys[i][:0])
 	}
 	return keys
-}
-
-// opaqueAnnealSignature renders the resolved annealer configuration —
-// seed included — for opaque-compiler requests that set Anneal explicitly
-// (a custom compiler may read it). Everything else hashes a fixed token,
-// so plain custom-compiler requests are unaffected by annealer defaults.
-func opaqueAnnealSignature(req Request) string {
-	if req.Anneal != nil {
-		return fmt.Sprintf("%#v", annealConfig(req))
-	}
-	return "none"
 }

@@ -10,8 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"ssync/internal/core"
 	"ssync/internal/obs"
+	"ssync/internal/pass"
 )
 
 // obsContext builds a context carrying a fresh trace and a logger bound
@@ -52,16 +52,16 @@ func TestCoalescedFollowerKeepsOwnIdentity(t *testing.T) {
 	var invocations atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
-	name := registerTestCompiler(t, "test/gated-obs", func(ctx context.Context, req Request) (*core.Result, error) {
+	name := registerTestPass(t, "test/gated-obs", func(ctx context.Context, _ string, st *pass.State) error {
 		if invocations.Add(1) == 1 {
 			close(started)
 			<-release
 		}
-		return core.CompileCtx(ctx, ssyncConfig(req), req.Circuit, req.Topo)
+		return compileSSync(ctx, st)
 	})
 
 	eng := New(Options{})
-	req := testRequest(t, "BV_12", "S-4", 8, name)
+	req := passRequest(t, "BV_12", "S-4", 8, name)
 	key, err := RequestKey(req)
 	if err != nil {
 		t.Fatal(err)

@@ -8,18 +8,15 @@ import (
 	"ssync/internal/pass"
 )
 
-// exec is a resolved request: exactly one of passes (pipeline execution —
-// explicit Request.Pipeline or the canned expansion of a built-in
-// compiler name) and fn (an opaque registered CompilerFunc) is set.
+// exec is a resolved request: the pass pipeline it runs — the explicit
+// Request.Pipeline or the canned expansion of a built-in compiler name.
 type exec struct {
 	// compiler is the resolved compiler name; "" for explicit pipelines,
 	// which are addressed by their stages rather than a name.
 	compiler string
 	passes   []pass.Pass
-	// names lists the pipeline's pass names, in order; nil for opaque
-	// compilers.
+	// names lists the pipeline's pass names, in order.
 	names []string
-	fn    CompilerFunc
 }
 
 // resolveExec validates and resolves a request to its execution plan
@@ -28,32 +25,27 @@ type exec struct {
 // built-in compiler name and its equivalent explicit pipeline resolve to
 // identical pass instances and therefore identical keys.
 func resolveExec(req Request) (exec, error) {
-	if len(req.Pipeline) > 0 {
+	specs, name := req.Pipeline, ""
+	if len(specs) > 0 {
 		if req.Compiler != "" {
 			return exec{}, fmt.Errorf(
 				"engine: request %q sets both Compiler (%q) and Pipeline; choose one", req.Label, req.Compiler)
 		}
-		passes, err := pass.Build(req.Pipeline)
-		if err != nil {
-			return exec{}, err
+	} else {
+		name = req.Compiler
+		if name == "" {
+			name = CompilerSSync
 		}
-		return exec{passes: passes, names: passNames(passes)}, nil
-	}
-	name := req.Compiler
-	if name == "" {
-		name = CompilerSSync
-	}
-	if specs, ok := pass.BuiltinPipeline(name); ok {
-		passes, err := pass.Build(specs)
-		if err != nil {
-			return exec{}, err
+		var ok bool
+		if specs, ok = pass.BuiltinPipeline(name); !ok {
+			return exec{}, &UnknownCompilerError{Name: name, Known: Compilers()}
 		}
-		return exec{compiler: name, passes: passes, names: passNames(passes)}, nil
 	}
-	if fn, ok := lookupFunc(name); ok {
-		return exec{compiler: name, fn: fn}, nil
+	passes, err := pass.Build(specs)
+	if err != nil {
+		return exec{}, err
 	}
-	return exec{}, &UnknownCompilerError{Name: name, Known: Compilers()}
+	return exec{compiler: name, passes: passes, names: passNames(passes)}, nil
 }
 
 func passNames(passes []pass.Pass) []string {
@@ -64,18 +56,18 @@ func passNames(passes []pass.Pass) []string {
 	return names
 }
 
-// run executes the resolved plan: the pipeline over a fresh State seeded
-// from the request, or the opaque compiler directly.
-func (x exec) run(ctx context.Context, req Request) (*core.Result, error) {
-	if x.fn != nil {
-		return x.fn(ctx, req)
-	}
-	st := &pass.State{
+// newState seeds a pipeline State from the request.
+func newState(req Request) *pass.State {
+	return &pass.State{
 		Source:  req.Circuit,
 		Circuit: req.Circuit,
 		Topo:    req.Topo,
 		Config:  ssyncConfig(req),
 		Anneal:  annealConfig(req),
 	}
-	return pass.Run(ctx, x.passes, st)
+}
+
+// run executes the resolved pipeline over a fresh State.
+func (x exec) run(ctx context.Context, req Request) (*core.Result, error) {
+	return pass.Run(ctx, x.passes, newState(req))
 }

@@ -11,6 +11,7 @@ import (
 	"ssync/internal/core"
 	"ssync/internal/mapping"
 	"ssync/internal/pass"
+	"ssync/internal/sched"
 )
 
 // pipelineRequest is testRequest with an explicit pipeline instead of a
@@ -284,12 +285,12 @@ func TestStatsAggregatePassTimings(t *testing.T) {
 
 func TestEngineLimitHoldsWorkerSlot(t *testing.T) {
 	eng := New(Options{Workers: 1})
-	// With the single slot held by Limit, a second Limit call under an
-	// already-cancelled context must fail instead of deadlocking.
+	// With the single slot held by LimitAs, a second LimitAs call under
+	// an already-cancelled context must fail instead of deadlocking.
 	release := make(chan struct{})
 	held := make(chan struct{})
 	go func() {
-		_ = eng.Limit(context.Background(), func() error {
+		_ = eng.LimitAs(context.Background(), sched.Interactive, func() error {
 			close(held)
 			<-release
 			return nil
@@ -298,17 +299,17 @@ func TestEngineLimitHoldsWorkerSlot(t *testing.T) {
 	<-held
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := eng.Limit(ctx, func() error { return nil }); !errors.Is(err, context.Canceled) {
-		t.Errorf("Limit under a held slot and cancelled context: %v, want context.Canceled", err)
+	if err := eng.LimitAs(ctx, sched.Interactive, func() error { return nil }); !errors.Is(err, context.Canceled) {
+		t.Errorf("LimitAs under a held slot and cancelled context: %v, want context.Canceled", err)
 	}
 	close(release)
-	// Once released, Limit admits work again and propagates fn's error.
+	// Once released, LimitAs admits work again and propagates fn's error.
 	sentinel := errors.New("sentinel")
-	if err := eng.Limit(context.Background(), func() error { return sentinel }); !errors.Is(err, sentinel) {
-		t.Errorf("Limit did not propagate fn error: %v", err)
+	if err := eng.LimitAs(context.Background(), sched.Interactive, func() error { return sentinel }); !errors.Is(err, sentinel) {
+		t.Errorf("LimitAs did not propagate fn error: %v", err)
 	}
-	// An unbounded engine's Limit is a plain call.
-	if err := New(Options{}).Limit(context.Background(), func() error { return nil }); err != nil {
-		t.Errorf("unbounded Limit failed: %v", err)
+	// An unbounded engine's LimitAs is a plain call.
+	if err := New(Options{}).LimitAs(context.Background(), sched.Interactive, func() error { return nil }); err != nil {
+		t.Errorf("unbounded LimitAs failed: %v", err)
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"ssync/internal/store"
 )
 
-// Variant is one entrant in a compilation portfolio: a registered
+// Variant is one entrant in a compilation portfolio: a built-in
 // compiler plus optional configuration.
 type Variant struct {
 	Name     string
@@ -84,13 +84,9 @@ type RaceOptions struct {
 	// entrant shares; deadline-aware admission may shed entrants that
 	// could no longer meet it.
 	Deadline time.Time
-	// Sim configures the scoring simulation; the zero value selects
-	// sim.DefaultOptions().
-	Sim *sim.Options
-	// Metrics, when non-nil, caches scoring-simulation results per
-	// request key, so re-racing cached compiles skips simulation too. The
-	// caller must dedicate the cache to one simulation configuration:
-	// keys do not cover Sim.
+	// Metrics, when non-nil, caches scoring-simulation results
+	// (sim.DefaultOptions) per request key, so re-racing cached compiles
+	// skips simulation too.
 	Metrics *store.LRU[sim.Metrics]
 }
 
@@ -109,10 +105,6 @@ func (e *Engine) Race(ctx context.Context, c *circuit.Circuit, topo *device.Topo
 	pool := Pool{Engine: e, Workers: opt.Workers, Timeout: opt.Timeout, Priority: opt.Priority, Deadline: opt.Deadline}
 	results := pool.RunRequests(ctx, reqs)
 
-	simOpt := sim.DefaultOptions()
-	if opt.Sim != nil {
-		simOpt = *opt.Sim
-	}
 	out := &RaceOutcome{WinnerIndex: -1, Results: results, Metrics: make([]sim.Metrics, len(results))}
 	var firstErr error
 	for i, r := range results {
@@ -130,7 +122,7 @@ func (e *Engine) Race(ctx context.Context, c *circuit.Circuit, topo *device.Topo
 			m, cached = opt.Metrics.Get(store.Key(r.Key))
 		}
 		if !cached {
-			m = sim.Run(r.Result.Schedule, topo, simOpt)
+			m = sim.Run(r.Result.Schedule, topo, sim.DefaultOptions())
 			if useCache {
 				opt.Metrics.Put(store.Key(r.Key), m)
 			}

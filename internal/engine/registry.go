@@ -1,31 +1,16 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"ssync/internal/core"
 	"ssync/internal/mapping"
 	"ssync/internal/pass"
 )
 
-// CompilerFunc is one pluggable opaque compiler: it schedules req.Circuit
-// onto req.Topo and returns the result. Implementations must be
-// deterministic for identical requests (the engine content-addresses
-// results by request) and should poll ctx between scheduler iterations so
-// cancellation and per-request timeouts take effect.
-//
-// The four built-in compilers are not CompilerFuncs: they are canned pass
-// pipelines (pass.BuiltinPipeline), so their stages are individually
-// addressable from Request.Pipeline. Register a CompilerFunc when a
-// strategy genuinely is monolithic; register passes (pass.Register) when
-// it decomposes into stages.
-type CompilerFunc func(ctx context.Context, req Request) (*core.Result, error)
-
-// Built-in registry names. The zero/empty Request.Compiler resolves to
+// Built-in compiler names. The zero/empty Request.Compiler resolves to
 // CompilerSSync. Each names a canned pass pipeline — see
 // pass.BuiltinPipeline for the staged equivalents.
 const (
@@ -40,9 +25,9 @@ const (
 	CompilerSSyncAnnealed = "ssync-annealed"
 )
 
-// UnknownCompilerError reports a Request.Compiler that names no registry
-// entry. Known carries the registered names at lookup time, sorted, so
-// callers (and HTTP error bodies) can say what would have worked.
+// UnknownCompilerError reports a Request.Compiler that names no built-in
+// compiler. Known carries the compiler names, sorted, so callers (and
+// HTTP error bodies) can say what would have worked.
 type UnknownCompilerError struct {
 	Name  string
 	Known []string
@@ -53,56 +38,12 @@ func (e *UnknownCompilerError) Error() string {
 		e.Name, strings.Join(e.Known, ", "))
 }
 
-// registry is the process-wide table of opaque compilers. A plain mutex
-// (not RWMutex) keeps it simple; lookups copy the function pointer out
-// under the lock, so compilation itself never holds it.
-var registry = struct {
-	sync.Mutex
-	m map[string]CompilerFunc
-}{m: make(map[string]CompilerFunc)}
-
-// Register adds a named compiler to the process-wide registry, making it
-// addressable from every Engine via Request.Compiler (and from ssyncd's
-// /v2 endpoints). Names are case-sensitive, must be non-empty, and may
-// not collide with an existing entry or a built-in canned pipeline; fn
-// must be non-nil.
-func Register(name string, fn CompilerFunc) error {
-	if name == "" {
-		return fmt.Errorf("engine: Register with empty compiler name")
-	}
-	if fn == nil {
-		return fmt.Errorf("engine: Register(%q) with nil CompilerFunc", name)
-	}
-	if _, canned := pass.BuiltinPipeline(name); canned {
-		return fmt.Errorf("engine: compiler %q is a built-in pipeline", name)
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.m[name]; dup {
-		return fmt.Errorf("engine: compiler %q already registered", name)
-	}
-	registry.m[name] = fn
-	return nil
-}
-
-// MustRegister is Register that panics on error; intended for init-time
-// registration of compilers that must exist.
-func MustRegister(name string, fn CompilerFunc) {
-	if err := Register(name, fn); err != nil {
-		panic(err)
-	}
-}
-
-// Compilers returns the addressable compiler names — the built-in canned
-// pipelines plus every registered CompilerFunc — sorted.
+// Compilers returns the addressable compiler names, sorted. Every one
+// names a canned pass pipeline (pass.BuiltinPipeline); a strategy beyond
+// them is a pipeline of registered passes (pass.Register), addressed
+// through Request.Pipeline.
 func Compilers() []string {
-	builtins, _ := pass.BuiltinPipelines()
-	registry.Lock()
-	names := append([]string(nil), builtins...)
-	for name := range registry.m {
-		names = append(names, name)
-	}
-	registry.Unlock()
+	names, _ := pass.BuiltinPipelines()
 	sort.Strings(names)
 	return names
 }
@@ -113,21 +54,8 @@ func Registered(name string) bool {
 	if name == "" {
 		return true // resolves to CompilerSSync
 	}
-	if _, canned := pass.BuiltinPipeline(name); canned {
-		return true
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	_, ok := registry.m[name]
-	return ok
-}
-
-// lookupFunc copies a registered CompilerFunc out of the registry.
-func lookupFunc(name string) (CompilerFunc, bool) {
-	registry.Lock()
-	defer registry.Unlock()
-	fn, ok := registry.m[name]
-	return fn, ok
+	_, canned := pass.BuiltinPipeline(name)
+	return canned
 }
 
 // ssyncConfig resolves a request's S-SYNC configuration (nil means the

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -11,22 +12,71 @@ import (
 	"ssync/internal/core"
 	"ssync/internal/device"
 	"ssync/internal/mapping"
+	"ssync/internal/pass"
 	"ssync/internal/workloads"
 )
 
-// testCompilerSeq makes test-compiler names unique per registration: the
+// testPassSeq makes test-pass names unique per registration: the pass
 // registry is process-wide and append-only, so a fixed name would panic
 // under `go test -count=N` (the race-detector CI sweep runs the suite
 // several times in one process).
-var testCompilerSeq atomic.Uint64
+var testPassSeq atomic.Uint64
 
-// registerTestCompiler registers fn under a unique name derived from
-// base and returns that name.
-func registerTestCompiler(t testing.TB, base string, fn CompilerFunc) string {
+// testPass is the one stage of a test compiler. Its options carry the
+// label it hands run, so a gated pass can report which request reached
+// it; the label is also its whole signature.
+type testPass struct {
+	name  string
+	label string
+	run   func(ctx context.Context, label string, st *pass.State) error
+}
+
+func (p testPass) Name() string                                  { return p.name }
+func (p testPass) Signature() string                             { return p.label }
+func (p testPass) Run(ctx context.Context, st *pass.State) error { return p.run(ctx, p.label, st) }
+
+// registerTestPass registers run as a pass under a unique name derived
+// from base and returns that name. run must set st.Result: the pass is
+// a whole compiler, requested as a one-stage pipeline (passRequest).
+func registerTestPass(t testing.TB, base string, run func(ctx context.Context, label string, st *pass.State) error) string {
 	t.Helper()
-	name := fmt.Sprintf("%s#%d", base, testCompilerSeq.Add(1))
-	MustRegister(name, fn)
+	name := fmt.Sprintf("%s#%d", base, testPassSeq.Add(1))
+	pass.MustRegister(name, func(options json.RawMessage) (pass.Pass, error) {
+		var o struct {
+			Label string `json:"label"`
+		}
+		if len(options) > 0 {
+			if err := json.Unmarshal(options, &o); err != nil {
+				return nil, err
+			}
+		}
+		return testPass{name: name, label: o.Label, run: run}, nil
+	})
 	return name
+}
+
+// passRequest is testRequest compiled through the one-stage pipeline of
+// the test pass name.
+func passRequest(t testing.TB, bench, topoName string, capacity int, name string) Request {
+	t.Helper()
+	r := testRequest(t, bench, topoName, capacity, "")
+	return labelled(r, name, r.Label)
+}
+
+// labelled returns r through the one-stage pipeline of the test pass
+// name, labelled label: as the request label and in the stage's options.
+func labelled(r Request, name, label string) Request {
+	opts, _ := json.Marshal(map[string]string{"label": label})
+	r.Label = label
+	r.Pipeline = []pass.Spec{{Name: name, Options: opts}}
+	return r
+}
+
+// compileSSync is a test pass's stand-in for real work: S-SYNC on the
+// state's circuit and device.
+func compileSSync(ctx context.Context, st *pass.State) (err error) {
+	st.Result, err = core.CompileCtx(ctx, st.Config, st.Circuit, st.Topo)
+	return err
 }
 
 func testRequest(t testing.TB, bench, topoName string, capacity int, compiler string) Request {
@@ -40,19 +90,6 @@ func testRequest(t testing.TB, bench, topoName string, capacity int, compiler st
 		t.Fatal(err)
 	}
 	return Request{Label: bench + "/" + topoName + "/" + compiler, Circuit: c, Topo: topo, Compiler: compiler}
-}
-
-func TestRegisterRejectsBadEntries(t *testing.T) {
-	noop := func(context.Context, Request) (*core.Result, error) { return nil, nil }
-	if err := Register("", noop); err == nil {
-		t.Error("empty name accepted")
-	}
-	if err := Register("test/nil-fn", nil); err == nil {
-		t.Error("nil CompilerFunc accepted")
-	}
-	if err := Register(CompilerSSync, noop); err == nil {
-		t.Error("duplicate of a built-in name accepted")
-	}
 }
 
 func TestCompilersListsBuiltins(t *testing.T) {
@@ -97,15 +134,15 @@ func TestDoUnknownCompilerIsStructured(t *testing.T) {
 }
 
 func TestRegisteredCustomCompilerServesDo(t *testing.T) {
-	// A custom compiler is addressable by name and distinguishable from
-	// the built-ins at the cache-key level.
+	// A custom compiler is a one-pass pipeline: addressable by its pass
+	// name and distinguishable from the built-ins at the cache-key level.
 	calls := 0
-	name := registerTestCompiler(t, "test/echo-ssync", func(ctx context.Context, req Request) (*core.Result, error) {
+	name := registerTestPass(t, "test/echo-ssync", func(ctx context.Context, _ string, st *pass.State) error {
 		calls++
-		return core.CompileCtx(ctx, ssyncConfig(req), req.Circuit, req.Topo)
+		return compileSSync(ctx, st)
 	})
 	eng := New(Options{})
-	req := testRequest(t, "BV_12", "S-4", 8, name)
+	req := passRequest(t, "BV_12", "S-4", 8, name)
 	res := eng.Do(context.Background(), req)
 	if res.Err != nil {
 		t.Fatal(res.Err)
@@ -113,11 +150,11 @@ func TestRegisteredCustomCompilerServesDo(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("custom compiler ran %d times, want 1", calls)
 	}
-	if res.Compiler != name {
-		t.Errorf("response compiler %q", res.Compiler)
+	if len(res.Pipeline) != 1 || res.Pipeline[0] != name {
+		t.Errorf("response pipeline %v", res.Pipeline)
 	}
 	ssyncReq := req
-	ssyncReq.Compiler = CompilerSSync
+	ssyncReq.Pipeline, ssyncReq.Compiler = nil, CompilerSSync
 	k1, err := RequestKey(req)
 	if err != nil {
 		t.Fatal(err)

@@ -10,26 +10,28 @@ import (
 	"time"
 
 	"ssync/internal/core"
+	"ssync/internal/pass"
 	"ssync/internal/sched"
 )
 
-// gatedCompiler returns a registered compiler that reports each start on
-// starts (by request label) and then blocks until it can take one token
-// from proceed, so tests can saturate the engine's worker slots and
-// sequence releases deterministically.
+// gatedCompiler returns a registered test pass that reports each start
+// on starts (by the label in its options) and then blocks until it can
+// take one token from proceed, so tests can saturate the engine's worker
+// slots and sequence releases deterministically.
 func gatedCompiler(t testing.TB, starts chan string, proceed chan struct{}) string {
 	t.Helper()
-	return registerTestCompiler(t, "test/gated", func(ctx context.Context, req Request) (*core.Result, error) {
+	return registerTestPass(t, "test/gated", func(ctx context.Context, label string, st *pass.State) error {
 		select {
-		case starts <- req.Label:
+		case starts <- label:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 		select {
 		case <-proceed:
-			return &core.Result{}, nil
+			st.Result = &core.Result{}
+			return nil
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	})
 }
@@ -60,15 +62,15 @@ func TestInteractiveNotStarvedByBackgroundFlood(t *testing.T) {
 	proceed := make(chan struct{})
 	comp := gatedCompiler(t, starts, proceed)
 	eng := New(Options{CacheSize: -1, Workers: 1})
-	req := testRequest(t, "QFT_12", "G-2x2", 8, comp)
+	req := passRequest(t, "QFT_12", "G-2x2", 8, comp)
 
 	var wg sync.WaitGroup
 	do := func(label string, class sched.Class) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := req
-			r.Label, r.Priority = label, class
+			r := labelled(req, comp, label)
+			r.Priority = class
 			if res := eng.Do(context.Background(), r); res.Err != nil {
 				t.Errorf("%s: %v", label, res.Err)
 			}
@@ -115,7 +117,7 @@ func TestEngineQueueFullSheds(t *testing.T) {
 	proceed := make(chan struct{})
 	comp := gatedCompiler(t, starts, proceed)
 	eng := New(Options{CacheSize: -1, Workers: 1, QueueLimit: 2})
-	req := testRequest(t, "QFT_12", "G-2x2", 8, comp)
+	req := passRequest(t, "QFT_12", "G-2x2", 8, comp)
 	req.Priority = sched.Batch
 
 	var wg sync.WaitGroup
@@ -154,12 +156,13 @@ func TestEngineQueueFullSheds(t *testing.T) {
 }
 
 func TestEngineDeadlineRejectedOnArrival(t *testing.T) {
-	slow := registerTestCompiler(t, "test/slow", func(ctx context.Context, req Request) (*core.Result, error) {
+	slow := registerTestPass(t, "test/slow", func(ctx context.Context, _ string, st *pass.State) error {
 		select {
 		case <-time.After(100 * time.Millisecond):
-			return &core.Result{}, nil
+			st.Result = &core.Result{}
+			return nil
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	})
 	starts := make(chan string, 1)
@@ -169,12 +172,12 @@ func TestEngineDeadlineRejectedOnArrival(t *testing.T) {
 	eng := New(Options{CacheSize: -1, Workers: 1})
 	// Seed the scheduler's service-time estimate with one uncontended
 	// ~100ms compile.
-	seed := testRequest(t, "QFT_12", "G-2x2", 8, slow)
+	seed := passRequest(t, "QFT_12", "G-2x2", 8, slow)
 	if res := eng.Do(context.Background(), seed); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	// Saturate the only slot.
-	hold := testRequest(t, "QFT_12", "G-2x2", 8, gated)
+	hold := passRequest(t, "QFT_12", "G-2x2", 8, gated)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -189,7 +192,7 @@ func TestEngineDeadlineRejectedOnArrival(t *testing.T) {
 	// rejected on arrival — ErrDeadline, not a queued timeout. (20ms
 	// keeps a wide margin on both sides: well under the estimate, well
 	// over the sub-ms dispatch overhead before admission runs.)
-	doomed := testRequest(t, "QFT_12", "G-2x2", 8, slow)
+	doomed := passRequest(t, "QFT_12", "G-2x2", 8, slow)
 	doomed.Deadline = time.Now().Add(20 * time.Millisecond)
 	res := eng.Do(context.Background(), doomed)
 	if !errors.Is(res.Err, sched.ErrDeadline) {
@@ -244,7 +247,7 @@ func TestCoalescedFollowerKeepsOwnDeadline(t *testing.T) {
 	proceed := make(chan struct{})
 	comp := gatedCompiler(t, starts, proceed)
 	eng := New(Options{Workers: 2}) // cached: content addressing + coalescing on
-	req := testRequest(t, "QFT_12", "G-2x2", 8, comp)
+	req := passRequest(t, "QFT_12", "G-2x2", 8, comp)
 	key, err := RequestKey(req)
 	if err != nil {
 		t.Fatal(err)
@@ -359,17 +362,18 @@ func TestDoRejectsUnknownPriority(t *testing.T) {
 // concurrent batch flood, reporting p50/p99 per case. The compiler is a
 // fixed 1ms stand-in so the numbers isolate scheduling, not compilation.
 func BenchmarkSchedulerMixedLoad(b *testing.B) {
-	work := registerTestCompiler(b, "bench/1ms", func(ctx context.Context, req Request) (*core.Result, error) {
+	work := registerTestPass(b, "bench/1ms", func(ctx context.Context, _ string, st *pass.State) error {
 		select {
 		case <-time.After(time.Millisecond):
-			return &core.Result{}, nil
+			st.Result = &core.Result{}
+			return nil
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	})
 	mk := func(label string, class sched.Class) Request {
-		r := testRequest(b, "QFT_12", "G-2x2", 8, work)
-		r.Label, r.Priority = label, class
+		r := labelled(passRequest(b, "QFT_12", "G-2x2", 8, work), work, label)
+		r.Priority = class
 		return r
 	}
 	for _, flood := range []struct {

@@ -82,8 +82,8 @@ func (g *flightGroup) do(ctx context.Context, key Key, fn func() (*core.Result, 
 }
 
 // lead runs fn as the flight's leader. Deregistration and the done
-// broadcast happen under defer so that a panicking compiler (registered
-// compilers are arbitrary plugin code) cannot poison the key forever:
+// broadcast happen under defer so that a panicking pass (registered
+// passes are arbitrary plugin code) cannot poison the key forever:
 // waiters receive an error instead of blocking on a flight that will
 // never land, and the panic still propagates to the leader's caller.
 func (g *flightGroup) lead(f *flight, key Key, fn func() (*core.Result, error)) {

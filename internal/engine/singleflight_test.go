@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"ssync/internal/core"
+	"ssync/internal/pass"
 )
 
 // TestSingleFlightCoalescesConcurrentIdenticalRequests is the acceptance
@@ -20,16 +20,16 @@ func TestSingleFlightCoalescesConcurrentIdenticalRequests(t *testing.T) {
 	var invocations atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
-	name := registerTestCompiler(t, "test/gated", func(ctx context.Context, req Request) (*core.Result, error) {
+	name := registerTestPass(t, "test/gated", func(ctx context.Context, _ string, st *pass.State) error {
 		if invocations.Add(1) == 1 {
 			close(started)
 			<-release
 		}
-		return core.CompileCtx(ctx, ssyncConfig(req), req.Circuit, req.Topo)
+		return compileSSync(ctx, st)
 	})
 
 	eng := New(Options{})
-	req := testRequest(t, "BV_12", "S-4", 8, name)
+	req := passRequest(t, "BV_12", "S-4", 8, name)
 	key, err := RequestKey(req)
 	if err != nil {
 		t.Fatal(err)
@@ -106,16 +106,16 @@ func TestSingleFlightFollowerHonoursOwnContext(t *testing.T) {
 	var invocations atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
-	name := registerTestCompiler(t, "test/gated-ctx", func(ctx context.Context, req Request) (*core.Result, error) {
+	name := registerTestPass(t, "test/gated-ctx", func(ctx context.Context, _ string, st *pass.State) error {
 		if invocations.Add(1) == 1 {
 			close(started)
 			<-release
 		}
-		return core.CompileCtx(ctx, ssyncConfig(req), req.Circuit, req.Topo)
+		return compileSSync(ctx, st)
 	})
 
 	eng := New(Options{})
-	req := testRequest(t, "BV_12", "S-4", 8, name)
+	req := passRequest(t, "BV_12", "S-4", 8, name)
 	leaderDone := make(chan Response, 1)
 	go func() { leaderDone <- eng.Do(context.Background(), req) }()
 	<-started
@@ -142,17 +142,17 @@ func TestSingleFlightFollowerHonoursOwnContext(t *testing.T) {
 func TestSingleFlightRetriesAfterLeaderTimeout(t *testing.T) {
 	var invocations atomic.Int64
 	started := make(chan struct{})
-	name := registerTestCompiler(t, "test/leader-timeout", func(ctx context.Context, req Request) (*core.Result, error) {
+	name := registerTestPass(t, "test/leader-timeout", func(ctx context.Context, _ string, st *pass.State) error {
 		if invocations.Add(1) == 1 {
 			close(started)
 			<-ctx.Done() // burn the leader's whole (tiny) budget
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		return core.CompileCtx(ctx, ssyncConfig(req), req.Circuit, req.Topo)
+		return compileSSync(ctx, st)
 	})
 
 	eng := New(Options{})
-	req := testRequest(t, "BV_12", "S-4", 8, name)
+	req := passRequest(t, "BV_12", "S-4", 8, name)
 	leader := req
 	leader.Timeout = 10 * time.Millisecond
 	leaderDone := make(chan Response, 1)
@@ -181,16 +181,16 @@ func TestSingleFlightWaiterHonoursOwnTimeout(t *testing.T) {
 	var invocations atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
-	name := registerTestCompiler(t, "test/gated-waiter-timeout", func(ctx context.Context, req Request) (*core.Result, error) {
+	name := registerTestPass(t, "test/gated-waiter-timeout", func(ctx context.Context, _ string, st *pass.State) error {
 		if invocations.Add(1) == 1 {
 			close(started)
 			<-release
 		}
-		return core.CompileCtx(ctx, ssyncConfig(req), req.Circuit, req.Topo)
+		return compileSSync(ctx, st)
 	})
 
 	eng := New(Options{})
-	req := testRequest(t, "BV_12", "S-4", 8, name)
+	req := passRequest(t, "BV_12", "S-4", 8, name)
 	leaderDone := make(chan Response, 1)
 	go func() { leaderDone <- eng.Do(context.Background(), req) }()
 	<-started
@@ -215,17 +215,17 @@ func TestSingleFlightSurvivesPanickingCompiler(t *testing.T) {
 	var invocations atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
-	name := registerTestCompiler(t, "test/panicking", func(ctx context.Context, req Request) (*core.Result, error) {
+	name := registerTestPass(t, "test/panicking", func(ctx context.Context, _ string, st *pass.State) error {
 		if invocations.Add(1) == 1 {
 			close(started)
 			<-release
 			panic("compiler bug")
 		}
-		return core.CompileCtx(ctx, ssyncConfig(req), req.Circuit, req.Topo)
+		return compileSSync(ctx, st)
 	})
 
 	eng := New(Options{})
-	req := testRequest(t, "BV_12", "S-4", 8, name)
+	req := passRequest(t, "BV_12", "S-4", 8, name)
 	key, err := RequestKey(req)
 	if err != nil {
 		t.Fatal(err)
@@ -273,16 +273,16 @@ func TestEngineWorkersBoundCompilations(t *testing.T) {
 	var invocations atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
-	name := registerTestCompiler(t, "test/slot-holder", func(ctx context.Context, req Request) (*core.Result, error) {
+	name := registerTestPass(t, "test/slot-holder", func(ctx context.Context, _ string, st *pass.State) error {
 		if invocations.Add(1) == 1 {
 			close(started)
 			<-release
 		}
-		return core.CompileCtx(ctx, ssyncConfig(req), req.Circuit, req.Topo)
+		return compileSSync(ctx, st)
 	})
 
 	eng := New(Options{Workers: 1})
-	slow := testRequest(t, "QFT_12", "G-2x2", 8, name)
+	slow := passRequest(t, "QFT_12", "G-2x2", 8, name)
 	cheap := testRequest(t, "BV_12", "S-4", 8, CompilerSSync)
 
 	// Warm the cache for the cheap request while the engine is idle.

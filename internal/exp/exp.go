@@ -10,6 +10,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"ssync/internal/circuit"
@@ -24,7 +25,7 @@ import (
 )
 
 // CompilerName identifies one of the three evaluated compilers by its
-// engine registry name, so the experiment grid and the batch/service
+// engine compiler name, so the experiment grid and the batch/service
 // layers share one dispatch.
 type CompilerName = string
 
@@ -37,8 +38,8 @@ const (
 // Compilers lists the evaluation order used in the figures.
 var Compilers = []CompilerName{Murali, Dai, SSync}
 
-// CompileWith dispatches to the named compiler with default configuration
-// through the engine's registry.
+// CompileWith runs the named compiler's canned pipeline with default
+// configuration.
 func CompileWith(name CompilerName, c *circuit.Circuit, topo *device.Topology) (*core.Result, error) {
 	return engine.Direct(engine.Request{Circuit: c, Topo: topo, Compiler: name})
 }
@@ -114,17 +115,28 @@ func quickCapacity(string) int { return 8 }
 
 // ResetCaches clears memoised experiment results so benchmarks can measure
 // repeated full runs.
-func ResetCaches() { comparisonCache = map[bool][]Cell{} }
+func ResetCaches() {
+	comparisonMu.Lock()
+	defer comparisonMu.Unlock()
+	comparisonCache = map[bool][]Cell{}
+}
 
 // comparisonCache memoises the Figs. 8–10 grid so fig8/fig9/fig10 (and
 // "all") share one compilation pass. The grid is deterministic, so caching
-// is safe; compile times in cells reflect the first run.
-var comparisonCache = map[bool][]Cell{}
+// is safe; compile times in cells reflect the first run. comparisonMu
+// guards it and is held across a computation, so concurrent callers
+// compile each grid once.
+var (
+	comparisonMu    sync.Mutex
+	comparisonCache = map[bool][]Cell{}
+)
 
 // Comparison runs the full Figs. 8–10 grid: every benchmark × topology ×
 // compiler cell, in deterministic order, fanned across an engine.Pool.
-// Results are memoised per scale.
+// Results are memoised per scale. It is safe for concurrent use.
 func Comparison(opt Options) ([]Cell, error) {
+	comparisonMu.Lock()
+	defer comparisonMu.Unlock()
 	if cells, ok := comparisonCache[opt.Quick]; ok {
 		return cells, nil
 	}

@@ -31,6 +31,28 @@ var (
 	labelNameRe  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 )
 
+// knownRoutes is the route-label allowlist of the service's HTTP
+// metrics, shared by a replica and the cluster router.
+var knownRoutes = map[string]bool{
+	"/v2/compile": true, "/v2/batch": true, "/v2/compilers": true,
+	"/v2/passes": true, "/v2/stats": true, "/v2/traces": true,
+	"/metrics": true,
+}
+
+// RouteLabel maps a request path to its route label: a known route is
+// its own label, any /v2/traces/<id> is "/v2/traces/{id}", and anything
+// else — typos, scans, probes — collapses into "other", so walking paths
+// cannot mint unbounded label cardinality.
+func RouteLabel(path string) string {
+	if knownRoutes[path] {
+		return path
+	}
+	if strings.HasPrefix(path, "/v2/traces/") {
+		return "/v2/traces/{id}"
+	}
+	return "other"
+}
+
 // DurationBuckets is the default histogram layout for latencies in
 // seconds: 100µs to 10s, roughly logarithmic — wide enough for both a
 // sub-millisecond cache probe and a multi-second annealed placement.

@@ -207,3 +207,24 @@ func TestRegistrationPanics(t *testing.T) {
 		}()
 	}
 }
+
+func TestRouteLabel(t *testing.T) {
+	cases := map[string]string{
+		"/v2/compile":          "/v2/compile",
+		"/v2/batch":            "/v2/batch",
+		"/v2/compilers":        "/v2/compilers",
+		"/v2/passes":           "/v2/passes",
+		"/v2/stats":            "/v2/stats",
+		"/v2/traces":           "/v2/traces",
+		"/metrics":             "/metrics",
+		"/v2/traces/0123abcd":  "/v2/traces/{id}",
+		"/v1/compile":          "other",
+		"/wp-admin/setup.php":  "other",
+		"/v2/compile/../stats": "other",
+	}
+	for path, want := range cases {
+		if got := RouteLabel(path); got != want {
+			t.Errorf("RouteLabel(%q) = %q, want %q", path, got, want)
+		}
+	}
+}

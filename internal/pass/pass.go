@@ -2,11 +2,11 @@
 // pipelines. A compilation is a sequence of passes — decompose, place,
 // route/schedule, verify — each a named transformation of a shared State
 // (working circuit, placement, result). Passes register process-wide by
-// name (mirroring the engine's compiler registry), requests address them
-// as ordered Spec lists with opaque JSON options, and the four built-in
-// compilers are themselves canned pipelines over the same registry — so
-// "swap the placer", "skip decomposition" or "verify on demand" is a
-// pipeline edit, not a new compiler.
+// name — the engine's one extension point — requests address them as
+// ordered Spec lists with opaque JSON options, and the four built-in
+// compilers are canned pipelines over the same registry — so "swap the
+// placer", "skip decomposition" or "verify on demand" is a pipeline
+// edit, and a new strategy is a new pass, not a new compiler.
 package pass
 
 import (
@@ -174,9 +174,8 @@ func (e *UnknownPassError) Error() string {
 		e.Name, strings.Join(e.Known, ", "))
 }
 
-// registry is the process-wide pass table, mirroring the engine's
-// compiler registry: a plain mutex, lookups copy the factory out under
-// the lock.
+// registry is the process-wide pass table: a plain mutex, lookups copy
+// the factory out under the lock.
 var registry = struct {
 	sync.Mutex
 	m map[string]Factory

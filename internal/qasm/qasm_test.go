@@ -201,6 +201,7 @@ func TestParseErrors(t *testing.T) {
 		{"unterminated body", `qreg q[1]; gate foo a { h a;`},
 		{"division by zero", `qreg q[1]; rz(1/0) q[0];`},
 		{"measure undeclared creg", `qreg q[1]; measure q[0] -> c[0];`},
+		{"header without version", "// comment\nOPENQASM"},
 	}
 	for _, tc := range cases {
 		if _, err := Parse(tc.src); err == nil {

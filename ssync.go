@@ -15,10 +15,10 @@
 //	fmt.Printf("shuttles=%d swaps=%d success=%.3e\n",
 //	    resp.Result.Counts.Shuttles, resp.Result.Counts.Swaps, m.SuccessRate)
 //
-// Compilers are addressed by registry name ("ssync", "murali", "dai",
-// "ssync-annealed", plus anything added via RegisterCompiler); identical
-// requests are served from a content-addressed cache, and concurrent
-// identical requests coalesce into one compilation.
+// Compilers are addressed by name ("ssync", "murali", "dai",
+// "ssync-annealed"); identical requests are served from a
+// content-addressed cache, and concurrent identical requests coalesce
+// into one compilation.
 //
 // The built-in compilers are canned pass pipelines: decompose, place,
 // route and verify stages registered in an open pass registry
@@ -245,8 +245,8 @@ type EngineOptions = engine.Options
 // EngineStats snapshots engine and cache counters.
 type EngineStats = engine.Stats
 
-// CompileRequest is one compilation request: circuit, device, registered
-// compiler name and optional configuration. It is the single input type
+// CompileRequest is one compilation request: circuit, device, compiler
+// name or pass pipeline, and optional configuration. It is the single input type
 // of the compilation API, handled by Engine.Do (or the package-level Do).
 type CompileRequest = engine.Request
 
@@ -268,12 +268,8 @@ type CompileKey = engine.Key
 // request runs, not what it computes.
 func RequestKey(req CompileRequest) (CompileKey, error) { return engine.RequestKey(req) }
 
-// CompilerFunc is one pluggable compiler, addressable by name once
-// registered (RegisterCompiler).
-type CompilerFunc = engine.CompilerFunc
-
-// Registered compiler names (the registry is open: RegisterCompiler adds
-// more; Compilers lists the current set).
+// Built-in compiler names, each a canned pass pipeline (Compilers lists
+// them; a new strategy is a pipeline of registered passes, RegisterPass).
 const (
 	MuraliCompilerName        = engine.CompilerMurali
 	DaiCompilerName           = engine.CompilerDai
@@ -281,18 +277,11 @@ const (
 	SSyncAnnealedCompilerName = engine.CompilerSSyncAnnealed
 )
 
-// RegisterCompiler adds a named compiler to the process-wide registry,
-// making it addressable from CompileRequest.Compiler (and from ssyncd's
-// /v2 endpoints). Names must be unique and non-empty.
-func RegisterCompiler(name string, fn CompilerFunc) error {
-	return engine.Register(name, fn)
-}
-
-// Compilers returns the registered compiler names, sorted.
+// Compilers returns the built-in compiler names, sorted.
 func Compilers() []string { return engine.Compilers() }
 
 // Do handles one CompileRequest on the process-wide DefaultEngine:
-// registry dispatch, content-addressed result reuse, and single-flight
+// pipeline dispatch, content-addressed result reuse, and single-flight
 // coalescing of concurrent identical requests.
 func Do(ctx context.Context, req CompileRequest) CompileResponse {
 	return DefaultEngine().Do(ctx, req)
