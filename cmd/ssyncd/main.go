@@ -66,7 +66,6 @@ import (
 
 	"ssync/internal/engine"
 	"ssync/internal/obs"
-	"ssync/internal/sim"
 )
 
 // version is the build identity reported by ssync_build_info; release
@@ -110,14 +109,11 @@ func main() {
 			"keep one of every N normal (fast, successful) traces per route in the flight recorder")
 		traceSlow = flag.Duration("trace-slow", 0,
 			"dump the span tree of any request slower than this to the log at warn level, regardless of -log-level (0 disables)")
-		simWorkers = flag.Int("sim-workers", 0,
-			"state-vector simulator worker budget per gate application, used by verify-statevec (0 = GOMAXPROCS; 1 forces serial)")
 	)
 	flag.Parse()
 	if *workers <= 0 {
 		*workers = runtime.GOMAXPROCS(0)
 	}
-	sim.SetDefaultWorkers(*simWorkers)
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
 		log.Fatal(err)

@@ -268,7 +268,7 @@ type snapshotMetrics struct {
 
 	passRuns, passHits, passSeconds *obs.Metric
 
-	simApplies, simWorkers     *obs.Metric
+	simApplies                 *obs.Metric
 	simRefHits, simRefMisses   *obs.Metric
 	simRefEntries, simRefBytes *obs.Metric
 }
@@ -336,9 +336,7 @@ func newSnapshotMetrics(reg *obs.Registry) *snapshotMetrics {
 			"Cumulative wall time of executed pipeline stages, by pass name.", "pass"),
 
 		simApplies: reg.Counter("ssync_sim_applies_total",
-			"State-vector gate applications, by execution mode (parallel/serial).", "mode"),
-		simWorkers: reg.Gauge("ssync_sim_workers",
-			"Resolved process-default simulator worker budget (-sim-workers)."),
+			"State-vector gate applications."),
 		simRefHits: reg.Counter("ssync_sim_ref_cache_hits_total",
 			"Verify calls served by an already-simulated shared reference state."),
 		simRefMisses: reg.Counter("ssync_sim_ref_cache_misses_total",
@@ -397,9 +395,7 @@ func (m *snapshotMetrics) update(st engine.Stats) {
 		m.passSeconds.With(name).Set(ps.Total.Seconds())
 	}
 
-	m.simApplies.With("parallel").Set(float64(st.Sim.ParallelApplies))
-	m.simApplies.With("serial").Set(float64(st.Sim.SerialApplies))
-	m.simWorkers.With().Set(float64(st.Sim.Workers))
+	m.simApplies.With().Set(float64(st.Sim.Applies))
 	m.simRefHits.With().Set(float64(st.Sim.RefCache.Hits))
 	m.simRefMisses.With().Set(float64(st.Sim.RefCache.Misses))
 	m.simRefEntries.With().Set(float64(st.Sim.RefCache.Entries))

@@ -978,10 +978,10 @@ type statsResponse struct {
 	// Auth is the access-control snapshot — key-set generation and
 	// per-principal quota budgets; omitted on open services.
 	Auth *authStats `json:"auth,omitempty"`
-	// Sim is the state-vector simulator's snapshot: gate applications by
-	// execution mode, the resolved -sim-workers budget, and the shared
-	// verification-reference cache (hits mean a verify reused a
-	// previously simulated reference instead of re-simulating it).
+	// Sim is the state-vector simulator's snapshot: gate applications
+	// and the shared verification-reference cache (hits mean a verify
+	// reused a previously simulated reference instead of re-simulating
+	// it).
 	Sim *sim.Stats `json:"sim,omitempty"`
 }
 

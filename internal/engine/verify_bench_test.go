@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"encoding/json"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"ssync/internal/core"
@@ -64,18 +67,24 @@ func BenchmarkPortfolioVerifyShared(b *testing.B) {
 	})
 }
 
+// verifySeeds hands each TestPortfolioVerifySharesReference run a
+// witness seed no earlier run used, so its reference starts cold in the
+// process-wide sim.SharedRefs however often the test repeats (-count).
+var verifySeeds atomic.Int64
+
 // The verify-statevec pass must hit the shared reference cache across
 // portfolio entrants: one miss for the first entrant, hits for the rest.
 func TestPortfolioVerifySharesReference(t *testing.T) {
 	topo := device.Grid(2, 2, 6)
 	src := workloads.QFT(8)
 	variants := DefaultPortfolio()[:4]
+	seed := verifySeeds.Add(1)
 	before := sim.SharedRefs.Stats()
 
 	eng := New(Options{CacheSize: -1})
 	for i, v := range variants {
 		req := v.request(src, topo)
-		req.Pipeline = appendVerify(t, req)
+		req.Pipeline = appendVerify(t, req, seed)
 		req.Compiler = ""
 		res := eng.Do(t.Context(), req)
 		if res.Err != nil {
@@ -93,13 +102,14 @@ func TestPortfolioVerifySharesReference(t *testing.T) {
 }
 
 // appendVerify resolves a request's compiler to its canned pipeline and
-// appends a verify-statevec stage, mirroring what a verifying service
-// pipeline looks like.
-func appendVerify(t *testing.T, req Request) []pass.Spec {
+// appends a verify-statevec stage with the given witness seed, mirroring
+// what a verifying service pipeline looks like.
+func appendVerify(t *testing.T, req Request, seed int64) []pass.Spec {
 	t.Helper()
 	specs, ok := pass.BuiltinPipeline(req.Compiler)
 	if !ok {
 		t.Fatalf("no canned pipeline for compiler %q", req.Compiler)
 	}
-	return append(specs, pass.Spec{Name: pass.VerifyStatevec})
+	return append(specs, pass.Spec{Name: pass.VerifyStatevec,
+		Options: json.RawMessage(fmt.Sprintf(`{"seed":%d}`, seed))})
 }

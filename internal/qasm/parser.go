@@ -19,6 +19,7 @@ type gateDef struct {
 
 // bodyCall is one statement inside a gate body.
 type bodyCall struct {
+	at      token // the call's name, for positioning expansion errors
 	name    string
 	params  []expr   // parameter expressions over the gate's formals
 	qargs   []string // formal qubit names
@@ -146,10 +147,11 @@ func (p *parser) parseProgram() error {
 			return err
 		}
 	}
-	if p.circ == nil {
+	if len(p.order) == 0 {
 		return fmt.Errorf("qasm: program declares no quantum registers")
 	}
-	return nil
+	// Declarations alone make an empty circuit, as Write renders one.
+	return p.ensureCircuit()
 }
 
 func (p *parser) ensureCircuit() error {
@@ -476,11 +478,12 @@ func (p *parser) parseGateDef() error {
 }
 
 func (p *parser) parseBodyCall(def *gateDef) (bodyCall, error) {
+	at := p.cur()
 	name, err := p.expectIdent()
 	if err != nil {
 		return bodyCall{}, err
 	}
-	call := bodyCall{name: name}
+	call := bodyCall{at: at, name: name}
 	if name == "barrier" {
 		call.barrier = true
 	}
@@ -547,12 +550,16 @@ func (p *parser) parseGateCall() error {
 		p.next()
 		if !(p.cur().kind == tokSymbol && p.cur().text == ")") {
 			for {
+				at := p.cur()
 				e, err := p.parseExpr(nil)
 				if err != nil {
 					return err
 				}
 				v, err := e.eval(nil)
 				if err != nil {
+					return err
+				}
+				if err := p.finiteParam(at, v); err != nil {
 					return err
 				}
 				params = append(params, v)
@@ -688,11 +695,24 @@ func (p *parser) applyGate(name string, params []float64, qubits []int, depth in
 			if err != nil {
 				return err
 			}
+			if err := p.finiteParam(call.at, v); err != nil {
+				return err
+			}
 			ps[i] = v
 		}
 		if err := p.applyGate(call.name, ps, qs, depth+1); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// finiteParam rejects a gate parameter that evaluated to ±Inf or NaN.
+// No QASM literal spells such a value, so the circuit could not be
+// written back out, and simulating it turns every amplitude into NaN.
+func (p *parser) finiteParam(at token, v float64) error {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return p.errorfAt(at, "gate parameter evaluates to %v", v)
 	}
 	return nil
 }

@@ -180,32 +180,54 @@ comment */ h q[0]; // trailing
 	}
 }
 
+// parseErrorCases are programs the parser must reject; FuzzParse seeds
+// its corpus with them too.
+var parseErrorCases = []struct {
+	name string
+	src  string
+}{
+	{"undeclared qreg", `qreg q[1]; h r[0];`},
+	{"out of range", `qreg q[2]; h q[5];`},
+	{"unknown gate", `qreg q[1]; zappo q[0];`},
+	{"opaque", `qreg q[1]; opaque foo a;`},
+	{"if undeclared creg", `qreg q[1]; if (c==1) h q[0];`},
+	{"if oversized value", `qreg q[1]; creg c[2]; if (c==4) h q[0];`},
+	{"if missing ==", `qreg q[1]; creg c[1]; if (c=1) h q[0];`},
+	{"if on barrier", `qreg q[1]; creg c[1]; if (c==1) barrier q;`},
+	{"if on qreg", `qreg q[1]; creg c[1]; if (c==1) qreg r[1];`},
+	{"bad broadcast", `qreg a[2]; qreg b[3]; cx a,b;`},
+	{"missing semicolon", `qreg q[1] h q[0];`},
+	{"duplicate qreg", `qreg q[1]; qreg q[2]; h q[0];`},
+	{"no qubits", `creg c[2]; measure q -> c;`},
+	{"unterminated body", `qreg q[1]; gate foo a { h a;`},
+	{"division by zero", `qreg q[1]; rz(1/0) q[0];`},
+	{"overflowing literal", `qreg q[1]; rz(1e400) q[0];`},
+	{"+Inf parameter", `qreg q[1]; rz(1e300*1e300) q[0];`},
+	{"-Inf parameter", `qreg q[1]; rz(-1e300*1e300) q[0];`},
+	{"NaN parameter", `qreg q[1]; rz(1e300*1e300-1e300*1e300) q[0];`},
+	{"non-finite expanded parameter", `qreg q[1]; gate g(a) x { rz(a*a) x; } g(1e300) q[0];`},
+	{"measure undeclared creg", `qreg q[1]; measure q[0] -> c[0];`},
+	{"header without version", "// comment\nOPENQASM"},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-	}{
-		{"undeclared qreg", `qreg q[1]; h r[0];`},
-		{"out of range", `qreg q[2]; h q[5];`},
-		{"unknown gate", `qreg q[1]; zappo q[0];`},
-		{"opaque", `qreg q[1]; opaque foo a;`},
-		{"if undeclared creg", `qreg q[1]; if (c==1) h q[0];`},
-		{"if oversized value", `qreg q[1]; creg c[2]; if (c==4) h q[0];`},
-		{"if missing ==", `qreg q[1]; creg c[1]; if (c=1) h q[0];`},
-		{"if on barrier", `qreg q[1]; creg c[1]; if (c==1) barrier q;`},
-		{"if on qreg", `qreg q[1]; creg c[1]; if (c==1) qreg r[1];`},
-		{"bad broadcast", `qreg a[2]; qreg b[3]; cx a,b;`},
-		{"missing semicolon", `qreg q[1] h q[0];`},
-		{"duplicate qreg", `qreg q[1]; qreg q[2]; h q[0];`},
-		{"no qubits", `creg c[2]; measure q -> c;`},
-		{"unterminated body", `qreg q[1]; gate foo a { h a;`},
-		{"division by zero", `qreg q[1]; rz(1/0) q[0];`},
-		{"measure undeclared creg", `qreg q[1]; measure q[0] -> c[0];`},
-		{"header without version", "// comment\nOPENQASM"},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseErrorCases {
 		if _, err := Parse(tc.src); err == nil {
 			t.Errorf("%s: expected error, got nil", tc.name)
+		}
+	}
+}
+
+// A non-finite parameter is reported at the expression that produced
+// it, or, inside a gate body, at the body call that evaluated it.
+func TestNonFiniteParamErrorsArePositioned(t *testing.T) {
+	for _, tc := range []struct{ src, pos string }{
+		{`qreg q[1]; rz(1e300*1e300) q[0];`, "line 1, col 15"},
+		{"qreg q[1];\ngate g(a) x { rz(a*a) x; }\ng(1e300) q[0];", "line 2, col 15"},
+	} {
+		_, err := Parse(tc.src)
+		if err == nil || !strings.Contains(err.Error(), tc.pos) || !strings.Contains(err.Error(), "+Inf") {
+			t.Errorf("Parse(%q) = %v, want a +Inf error at %s", tc.src, err, tc.pos)
 		}
 	}
 }
@@ -292,6 +314,24 @@ func TestWriteHasHeader(t *testing.T) {
 	}
 }
 
+// A program of declarations alone is an empty circuit, which Write
+// renders as the declaration of its register.
+func TestParseDeclarationsOnly(t *testing.T) {
+	c, err := Parse(`qreg a[2]; qreg b[3]; creg c[1];`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.NumQubits != 5 || len(c.Gates) != 0 {
+		t.Fatalf("got %d qubits and %d gates, want 5 and 0", c.NumQubits, len(c.Gates))
+	}
+	if _, err := Parse(Write(c)); err != nil {
+		t.Errorf("written empty circuit does not parse: %v", err)
+	}
+	if _, err := Parse(`creg c[1];`); err == nil {
+		t.Error("a program without a qreg parsed")
+	}
+}
+
 func TestParseTestdataCorpus(t *testing.T) {
 	files, err := filepath.Glob("testdata/*.qasm")
 	if err != nil || len(files) == 0 {
@@ -345,4 +385,42 @@ func TestParseNeverPanics(t *testing.T) {
 			_, _ = Parse(string(b)) // error or success, never panic
 		}()
 	}
+}
+
+const fuzzRoundTripGates = 1 << 16
+
+// FuzzParse drives arbitrary bytes through the lexer and parser. Parse
+// must never panic, and any program it accepts must survive Write: the
+// written text parses again and writes back to the same text. Programs
+// that broadcast past fuzzRoundTripGates gates skip the round trip: the
+// writer works gate by gate, so they add time, not coverage.
+func FuzzParse(f *testing.F) {
+	files, err := filepath.Glob("testdata/*.qasm")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no testdata corpus found: %v", err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	for _, tc := range parseErrorCases {
+		f.Add(tc.src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := Parse(src)
+		if err != nil || len(c.Gates) > fuzzRoundTripGates {
+			return
+		}
+		out := Write(c)
+		c2, err := Parse(out)
+		if err != nil {
+			t.Fatalf("Write output does not parse: %v\n%s", err, out)
+		}
+		if again := Write(c2); again != out {
+			t.Fatalf("Write(Parse(Write(c))) differs from Write(c):\n%s\nvs\n%s", again, out)
+		}
+	})
 }

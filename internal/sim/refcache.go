@@ -78,7 +78,6 @@ func (r *Reference) VerifySchedule(sched *schedule.Schedule) error {
 	got := replayPool.Get().(*State)
 	defer replayPool.Put(got)
 	got.copyFrom(r.input)
-	got.workers = 0
 	for _, op := range sched.Ops {
 		switch op.Kind {
 		case schedule.Gate1Q, schedule.Gate2Q:
@@ -92,7 +91,8 @@ func (r *Reference) VerifySchedule(sched *schedule.Schedule) error {
 		// Transport, inserted SWAPs and barriers relocate ions but leave
 		// logical states untouched — skipped, as in Schedule.LogicalGates.
 	}
-	if ov := Overlap(r.output, got); ov < 1-1e-7 {
+	// Written so a NaN overlap (a non-finite amplitude anywhere) fails.
+	if ov := Overlap(r.output, got); !(ov >= 1-1e-7) {
 		return fmt.Errorf("sim: schedule diverges from source circuit (overlap %.9f)", ov)
 	}
 	return nil
@@ -164,9 +164,12 @@ type RefCache struct {
 }
 
 // DefaultRefCacheBytes bounds the process-wide SharedRefs cache: room
-// for two max-size references (a 22-qubit reference is two 64 MiB
-// states), plenty for the many small ones tests and mixed traffic hold.
-const DefaultRefCacheBytes = 512 << 20
+// for eight 16-qubit references (two 1 MiB states each). A circuit's
+// verifying variants arrive together, so a small bound keeps nearly
+// every hit. A reference that fills the bound by itself (19 qubits and
+// up) is still kept, alone (the Len() > 1 guard in Get), so concurrent
+// verifies of that circuit share it.
+const DefaultRefCacheBytes = 16 << 20
 
 // SharedRefs is the process-wide reference cache the verify-statevec
 // pass goes through, so every verifying pipeline in the process shares
@@ -269,12 +272,8 @@ func (c *RefCache) Stats() RefCacheStats {
 // Stats is the simulator's process-wide counter snapshot, mirrored into
 // engine stats, /v2/stats and the ssync_sim_* metric families.
 type Stats struct {
-	// ParallelApplies / SerialApplies count gate applications by
-	// execution mode across every State in the process.
-	ParallelApplies uint64 `json:"parallel_applies"`
-	SerialApplies   uint64 `json:"serial_applies"`
-	// Workers is the resolved process-default worker budget.
-	Workers int `json:"workers"`
+	// Applies counts gate applications across every State in the process.
+	Applies uint64 `json:"applies"`
 	// RefCache is the SharedRefs verification-reference cache view.
 	RefCache RefCacheStats `json:"ref_cache"`
 }
@@ -282,9 +281,7 @@ type Stats struct {
 // Snapshot collects the process-wide simulator counters.
 func Snapshot() Stats {
 	return Stats{
-		ParallelApplies: cParallelApplies.Load(),
-		SerialApplies:   cSerialApplies.Load(),
-		Workers:         DefaultWorkers(),
-		RefCache:        SharedRefs.Stats(),
+		Applies:  cApplies.Load(),
+		RefCache: SharedRefs.Stats(),
 	}
 }

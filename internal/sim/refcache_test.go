@@ -1,160 +1,21 @@
 package sim
 
 import (
-	"fmt"
-	"math/rand"
+	"math"
 	"sync"
 	"testing"
 
 	"ssync/internal/circuit"
 	"ssync/internal/core"
 	"ssync/internal/device"
+	"ssync/internal/schedule"
 	"ssync/internal/workloads"
 )
 
-// randomCircuit builds a random circuit over the full gate set the dense
-// simulator supports: every 1q/2q matrix gate plus ccx and cswap.
-func randomCircuit(r *rand.Rand, nq, gates int) *circuit.Circuit {
-	names1q := []string{"id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "sxdg"}
-	rot1q := []string{"rx", "ry", "rz", "u1", "p"}
-	names2q := []string{"cx", "cz", "cy", "ch", "swap"}
-	rot2q := []string{"cp", "crx", "cry", "crz", "rzz", "rxx", "ryy"}
-
-	pick := func(k int) []int {
-		qs := r.Perm(nq)[:k]
-		return qs
-	}
-	c := circuit.NewCircuit(nq)
-	for i := 0; i < gates; i++ {
-		var g circuit.Gate
-		switch r.Intn(8) {
-		case 0:
-			g = circuit.New(names1q[r.Intn(len(names1q))], pick(1))
-		case 1:
-			g = circuit.New(rot1q[r.Intn(len(rot1q))], pick(1), r.Float64()*4-2)
-		case 2:
-			g = circuit.New("u2", pick(1), r.Float64()*4-2, r.Float64()*4-2)
-		case 3:
-			g = circuit.New("u3", pick(1), r.Float64()*4-2, r.Float64()*4-2, r.Float64()*4-2)
-		case 4:
-			g = circuit.New(names2q[r.Intn(len(names2q))], pick(2))
-		case 5:
-			g = circuit.New(rot2q[r.Intn(len(rot2q))], pick(2), r.Float64()*4-2)
-		case 6:
-			g = circuit.New("ccx", pick(3))
-		default:
-			g = circuit.New("cswap", pick(3))
-		}
-		if err := c.Append(g); err != nil {
-			panic(err)
-		}
-	}
-	return c
-}
-
-// Parallel application must be bit-identical to serial: every base index
-// owns its amplitude group, so chunking cannot change any float op.
-func TestParallelMatchesSerialExactly(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		nq := 3 + r.Intn(8) // 3..10 qubits, well below the size threshold
-		c := randomCircuit(r, nq, 30+r.Intn(40))
-		seed := int64(trial)
-
-		serial, err := RandomProductState(nq, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial.SetWorkers(1)
-		if err := serial.ApplyCircuit(c); err != nil {
-			t.Fatal(err)
-		}
-
-		workers := 2 + r.Intn(7) // random worker count, forced parallel
-		par, err := RandomProductState(nq, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		par.SetWorkers(workers)
-		if err := par.ApplyCircuit(c); err != nil {
-			t.Fatal(err)
-		}
-
-		for i := 0; i < 1<<nq; i++ {
-			if serial.Amplitude(i) != par.Amplitude(i) {
-				t.Fatalf("trial %d (%d qubits, %d workers): amp[%d] serial %v != parallel %v",
-					trial, nq, workers, i, serial.Amplitude(i), par.Amplitude(i))
-			}
-		}
-	}
-}
-
-// Above the size threshold a default-workers state picks the parallel
-// path on multi-core runtimes; results must still match serial exactly.
-func TestParallelLargeStateMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large-state equivalence skipped in -short")
-	}
-	r := rand.New(rand.NewSource(23))
-	nq := 15 // 32768 amps, past parallelMinAmps
-	c := randomCircuit(r, nq, 40)
-
-	serial, err := RandomProductState(nq, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial.SetWorkers(1)
-	if err := serial.ApplyCircuit(c); err != nil {
-		t.Fatal(err)
-	}
-
-	par, err := RandomProductState(nq, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par.SetWorkers(8)
-	if err := par.ApplyCircuit(c); err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial.amp {
-		if serial.amp[i] != par.amp[i] {
-			t.Fatalf("amp[%d]: serial %v != parallel %v", i, serial.amp[i], par.amp[i])
-		}
-	}
-}
-
-func TestSetWorkersResolution(t *testing.T) {
-	s, err := NewState(4) // 16 amps, far below the threshold
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := s.effectiveWorkers(); w != 1 {
-		t.Errorf("small default state resolved %d workers, want 1 (serial)", w)
-	}
-	s.SetWorkers(6)
-	if w := s.effectiveWorkers(); w < 2 {
-		t.Errorf("explicit SetWorkers(6) resolved %d workers, want parallel", w)
-	}
-	s.SetWorkers(1)
-	if w := s.effectiveWorkers(); w != 1 {
-		t.Errorf("SetWorkers(1) resolved %d workers, want 1", w)
-	}
-
-	old := DefaultWorkers()
-	SetDefaultWorkers(3)
-	if got := DefaultWorkers(); got != 3 {
-		t.Errorf("DefaultWorkers after SetDefaultWorkers(3) = %d", got)
-	}
-	SetDefaultWorkers(0)
-	if got := DefaultWorkers(); got < 1 {
-		t.Errorf("DefaultWorkers after reset = %d", got)
-	}
-	_ = old
-}
-
 // Concurrent verifies sharing one cache must simulate the reference
 // exactly once (single-flight) and all succeed. Run under -race this is
-// also the data-race check for the shared reference and the worker pool.
+// also the data-race check for the shared reference and the pooled
+// replay states.
 func TestRefCacheSingleFlightConcurrent(t *testing.T) {
 	topo := device.Grid(2, 2, 6)
 	src := workloads.QFT(8)
@@ -277,6 +138,68 @@ func TestRefCacheEviction(t *testing.T) {
 	}
 }
 
+// A reference that alone exceeds the cache's bound is still cached, by
+// itself, so concurrent verifies of its circuit share one simulation;
+// the next circuit's reference evicts it.
+func TestRefCacheKeepsOversizedReferenceAlone(t *testing.T) {
+	topo := device.Grid(2, 2, 6)
+	src := workloads.QFT(8)
+	res, err := core.Compile(core.DefaultConfig(), src, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const refBytes = 2 * (1 << 8) * 16
+	cache := NewRefCache(1024) // smaller than either reference below
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make([]error, goroutines)
+	for i := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = cache.Verify(src, res.Schedule, 42)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", i, err)
+		}
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Entries != 1 || st.Bytes != refBytes {
+		t.Fatalf("after %d concurrent verifies: %+v, want 1 miss, 1 entry, %d bytes", goroutines, st, refBytes)
+	}
+
+	if _, err := cache.Get(src, 42); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != goroutines {
+		t.Fatalf("later Get of the oversized reference: %+v, want 1 miss, %d hits", st, goroutines)
+	}
+
+	other := circuit.NewCircuit(7)
+	other.H(0).CX(0, 1).CX(1, 2).CX(2, 3).CX(3, 4).CX(4, 5).CX(5, 6)
+	if _, err := cache.Get(other, 42); err != nil {
+		t.Fatal(err)
+	}
+	const otherBytes = 2 * (1 << 7) * 16
+	if st := cache.Stats(); st.Misses != 2 || st.Entries != 1 || st.Bytes != otherBytes {
+		t.Fatalf("after a second circuit: %+v, want 2 misses, 1 entry, %d bytes (the newest alone)", st, otherBytes)
+	}
+}
+
+// A circuit with a non-finite parameter evolves the reference into NaN
+// amplitudes; the NaN overlap must fail verification, not pass it.
+func TestVerifyRejectsNaNReference(t *testing.T) {
+	src := circuit.NewCircuit(2)
+	src.H(0).RZ(math.NaN(), 0).CX(0, 1)
+	empty := schedule.New(2)
+	if err := VerifySchedule(src, empty, 1); err == nil {
+		t.Fatal("an empty schedule verified against a NaN-parameter circuit")
+	}
+}
+
 // VerifySchedule through a shared reference must still reject schedules
 // that diverge from the source circuit.
 func TestRefCacheVerifyCatchesDivergence(t *testing.T) {
@@ -293,41 +216,11 @@ func TestRefCacheVerifyCatchesDivergence(t *testing.T) {
 	}
 }
 
-func BenchmarkStateVecApply(b *testing.B) {
-	for _, nq := range []int{16, 18} {
-		for _, workers := range []int{1, 0} {
-			mode := "serial"
-			if workers == 0 {
-				mode = "default"
-			}
-			b.Run(fmt.Sprintf("q%d/%s", nq, mode), func(b *testing.B) {
-				s, err := NewState(nq)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s.SetWorkers(workers)
-				h := circuit.New("h", []int{nq / 2})
-				cx := circuit.New("cx", []int{0, nq - 1})
-				b.SetBytes(int64(16 << uint(nq)))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := s.Apply(h); err != nil {
-						b.Fatal(err)
-					}
-					if err := s.Apply(cx); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkVerifyScheduleParallel measures the full verify path on an
-// 18-qubit compiled schedule: "fresh" re-simulates the reference every
-// iteration (the old VerifySchedule behaviour), "shared" resolves it
-// from a warm RefCache and only replays the schedule — the portfolio
-// steady state.
+// 18-qubit compiled schedule (cmd/bench parses it under this name):
+// "fresh" re-simulates the reference every iteration (the old
+// VerifySchedule behaviour), "shared" resolves it from a warm RefCache
+// and only replays the schedule — the portfolio steady state.
 func BenchmarkVerifyScheduleParallel(b *testing.B) {
 	topo := device.Grid(3, 3, 6)
 	src := workloads.QFT(18)

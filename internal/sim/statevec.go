@@ -1,7 +1,10 @@
 // Package sim contains the two simulators behind the paper's evaluation:
 // an analytical device simulator (execution time + Eq. 4 success rate over
 // a compiled schedule) and a dense state-vector simulator used to verify
-// that compiled schedules preserve the source circuit's semantics.
+// that compiled schedules preserve the source circuit's semantics. The
+// state-vector simulator applies each gate on the calling goroutine with
+// a kernel chosen by the gate's matrix class, and verifies share their
+// reference simulations through a byte-bounded cache (SharedRefs).
 package sim
 
 import (
@@ -9,6 +12,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync/atomic"
 
 	"ssync/internal/circuit"
 )
@@ -21,12 +25,11 @@ const MaxStateQubits = 22
 type State struct {
 	n   int
 	amp []complex128
-
-	// workers is this state's gate-application budget: 0 uses the
-	// process default (see SetDefaultWorkers), 1 forces serial, n > 1
-	// forces n-way parallel application. Set via SetWorkers.
-	workers int
 }
+
+// cApplies counts gate applications across every State in the process
+// (mirrored into Stats.Applies and ssync_sim_applies_total).
+var cApplies atomic.Uint64
 
 // NewState returns |0...0> over n qubits.
 func NewState(n int) (*State, error) {
@@ -44,9 +47,9 @@ func (s *State) NumQubits() int { return s.n }
 // Amplitude returns amplitude i.
 func (s *State) Amplitude(i int) complex128 { return s.amp[i] }
 
-// Clone deep-copies the state (including its worker budget).
+// Clone deep-copies the state.
 func (s *State) Clone() *State {
-	return &State{n: s.n, amp: append([]complex128(nil), s.amp...), workers: s.workers}
+	return &State{n: s.n, amp: append([]complex128(nil), s.amp...)}
 }
 
 // copyFrom overwrites this state's amplitudes with src's, reusing the
@@ -61,76 +64,100 @@ func (s *State) copyFrom(src *State) {
 	copy(s.amp, src.amp)
 }
 
-// apply1 applies the 2×2 matrix m to qubit q.
-func (s *State) apply1(m [4]complex128, q int) {
-	if w := s.effectiveWorkers(); w > 1 {
-		cParallelApplies.Add(1)
-		j := jobPool.Get().(*applyJob)
-		j.kind, j.m1, j.b1 = kind1q, m, 1<<uint(q)
-		s.runParallel(j, w)
-		return
-	}
-	cSerialApplies.Add(1)
-	s.apply1Range(m, 1<<uint(q), 0, len(s.amp))
+// Gate kernels. Each walks only the base indices a gate owns — those
+// with the gate's target bits clear — by counting k over the smaller
+// index space and inserting zeros at the target bits, and uses the
+// cheapest form the gate's matrix allows. Every kernel forms the same
+// products in the same order as the dense 2×2/4×4 product and only
+// drops terms whose matrix entry is zero (or a factor of exactly 1), so
+// every amplitude equals the dense form's.
+
+// insertZero widens k by a zero bit at the position of the single-bit
+// mask bit, shifting the bits at and above it up by one.
+func insertZero(k, bit int) int {
+	return (k&^(bit-1))<<1 | k&(bit-1)
 }
 
-// apply1Range applies m to qubit bit `bit` over amplitude indices
-// [lo, hi). Indices with the bit set are skipped, so any partition of
-// the index space computes exactly the serial result.
-func (s *State) apply1Range(m [4]complex128, bit, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if i&bit != 0 {
-			continue
+// apply1 applies the 2×2 matrix m to qubit q.
+func (s *State) apply1(m [4]complex128, q int) {
+	cApplies.Add(1)
+	amp, bit := s.amp, 1<<uint(q)
+	half := len(amp) >> 1
+	m0, m1, m2, m3 := m[0], m[1], m[2], m[3]
+	if m1 == 0 && m2 == 0 {
+		// Diagonal: a phase on each half. A |0⟩ phase of exactly 1
+		// leaves that half untouched.
+		if m0 == 1 {
+			for k := 0; k < half; k++ {
+				j := insertZero(k, bit) | bit
+				amp[j] = m3 * amp[j]
+			}
+			return
 		}
+		for k := 0; k < half; k++ {
+			i := insertZero(k, bit)
+			j := i | bit
+			amp[i] = m0 * amp[i]
+			amp[j] = m3 * amp[j]
+		}
+		return
+	}
+	for k := 0; k < half; k++ {
+		i := insertZero(k, bit)
 		j := i | bit
-		a0, a1 := s.amp[i], s.amp[j]
-		s.amp[i] = m[0]*a0 + m[1]*a1
-		s.amp[j] = m[2]*a0 + m[3]*a1
+		a0, a1 := amp[i], amp[j]
+		amp[i] = m0*a0 + m1*a1
+		amp[j] = m2*a0 + m3*a1
+	}
+}
+
+// base2 returns the k-th base index of a two-qubit gate whose bit masks
+// are lo < hi: k with zeros inserted at both bits, the lower one first.
+func base2(k, lo, hi int) int {
+	return insertZero(insertZero(k, lo), hi)
+}
+
+// order2 returns the two single-bit masks of qubits a and b, lower first.
+func order2(a, b int) (lo, hi int) {
+	lo, hi = 1<<uint(a), 1<<uint(b)
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	return lo, hi
+}
+
+// applyCX swaps the two amplitudes of each pair whose control bit is
+// set: the |10⟩ and |11⟩ rows of the controlled-X matrix are
+// permutation rows, so no arithmetic is needed.
+func (s *State) applyCX(c, t int) {
+	cApplies.Add(1)
+	amp, bitC, bitT := s.amp, 1<<uint(c), 1<<uint(t)
+	lo, hi := order2(c, t)
+	quarter := len(amp) >> 2
+	for k := 0; k < quarter; k++ {
+		i := base2(k, lo, hi) | bitC
+		j := i | bitT
+		amp[i], amp[j] = amp[j], amp[i]
 	}
 }
 
 // apply2 applies the 4×4 matrix m to qubits (a, b); the row/column index
 // is bitA*2 + bitB.
 func (s *State) apply2(m [16]complex128, a, b int) {
-	if w := s.effectiveWorkers(); w > 1 {
-		cParallelApplies.Add(1)
-		j := jobPool.Get().(*applyJob)
-		j.kind, j.m2, j.b1, j.b2 = kind2q, m, a, b
-		s.runParallel(j, w)
-		return
-	}
-	cSerialApplies.Add(1)
-	s.apply2Range(m, a, b, 0, len(s.amp))
-}
-
-// apply2Range applies m to qubits (a, b) over amplitude indices [lo, hi).
-func (s *State) apply2Range(m [16]complex128, a, b, lo, hi int) {
-	bitA, bitB := 1<<uint(a), 1<<uint(b)
-	for i := lo; i < hi; i++ {
-		if i&bitA != 0 || i&bitB != 0 {
-			continue
-		}
-		i00 := i
-		i01 := i | bitB
-		i10 := i | bitA
-		i11 := i | bitA | bitB
-		v := [4]complex128{s.amp[i00], s.amp[i01], s.amp[i10], s.amp[i11]}
-		for r := 0; r < 4; r++ {
-			sum := complex(0, 0)
-			for c := 0; c < 4; c++ {
-				sum += m[r*4+c] * v[c]
-			}
-			switch r {
-			case 0:
-				s.amp[i00] = sum
-			case 1:
-				s.amp[i01] = sum
-			case 2:
-				s.amp[i10] = sum
-			case 3:
-				s.amp[i11] = sum
-			}
-		}
+	cApplies.Add(1)
+	amp, bitA, bitB := s.amp, 1<<uint(a), 1<<uint(b)
+	lo, hi := order2(a, b)
+	quarter := len(amp) >> 2
+	for k := 0; k < quarter; k++ {
+		i00 := base2(k, lo, hi)
+		i01 := i00 | bitB
+		i10 := i00 | bitA
+		i11 := i10 | bitB
+		v0, v1, v2, v3 := amp[i00], amp[i01], amp[i10], amp[i11]
+		amp[i00] = m[0]*v0 + m[1]*v1 + m[2]*v2 + m[3]*v3
+		amp[i01] = m[4]*v0 + m[5]*v1 + m[6]*v2 + m[7]*v3
+		amp[i10] = m[8]*v0 + m[9]*v1 + m[10]*v2 + m[11]*v3
+		amp[i11] = m[12]*v0 + m[13]*v1 + m[14]*v2 + m[15]*v3
 	}
 }
 
@@ -211,7 +238,7 @@ func controlled(u [4]complex128) [16]complex128 {
 func mat2(name string, params []float64) ([16]complex128, error) {
 	i := complex(0, 1)
 	switch name {
-	case "cx":
+	case "cx": // Apply runs applyCX instead; this is its definition.
 		return controlled([4]complex128{0, 1, 1, 0}), nil
 	case "cz":
 		return controlled([4]complex128{1, 0, 0, -1}), nil
@@ -284,6 +311,9 @@ func (s *State) Apply(g circuit.Gate) error {
 		}
 		s.apply1(m, g.Qubits[0])
 		return nil
+	case g.Name == "cx" && len(g.Qubits) == 2:
+		s.applyCX(g.Qubits[0], g.Qubits[1])
+		return nil
 	case len(g.Qubits) == 2:
 		m, err := mat2(g.Name, g.Params)
 		if err != nil {
@@ -303,22 +333,9 @@ func (s *State) Apply(g circuit.Gate) error {
 
 // applyCCX flips the target bit on amplitudes with both controls set.
 func (s *State) applyCCX(c1, c2, t int) {
-	if w := s.effectiveWorkers(); w > 1 {
-		cParallelApplies.Add(1)
-		j := jobPool.Get().(*applyJob)
-		j.kind, j.b1, j.b2, j.b3 = kindCCX, c1, c2, t
-		s.runParallel(j, w)
-		return
-	}
-	cSerialApplies.Add(1)
-	s.ccxRange(c1, c2, t, 0, len(s.amp))
-}
-
-// ccxRange is applyCCX over amplitude indices [lo, hi). Each swap is
-// owned by the index with the target bit clear, so partitions are safe.
-func (s *State) ccxRange(c1, c2, t, lo, hi int) {
+	cApplies.Add(1)
 	b1, b2, bt := 1<<uint(c1), 1<<uint(c2), 1<<uint(t)
-	for i := lo; i < hi; i++ {
+	for i := range s.amp {
 		if i&b1 != 0 && i&b2 != 0 && i&bt == 0 {
 			j := i | bt
 			s.amp[i], s.amp[j] = s.amp[j], s.amp[i]
@@ -328,22 +345,9 @@ func (s *State) ccxRange(c1, c2, t, lo, hi int) {
 
 // applyCSwap exchanges bits a and b on amplitudes with the control set.
 func (s *State) applyCSwap(c, a, b int) {
-	if w := s.effectiveWorkers(); w > 1 {
-		cParallelApplies.Add(1)
-		j := jobPool.Get().(*applyJob)
-		j.kind, j.b1, j.b2, j.b3 = kindCSwap, c, a, b
-		s.runParallel(j, w)
-		return
-	}
-	cSerialApplies.Add(1)
-	s.cswapRange(c, a, b, 0, len(s.amp))
-}
-
-// cswapRange is applyCSwap over amplitude indices [lo, hi). The swap is
-// owned by the index with bit a set and bit b clear.
-func (s *State) cswapRange(c, a, b, lo, hi int) {
+	cApplies.Add(1)
 	bc, ba, bb := 1<<uint(c), 1<<uint(a), 1<<uint(b)
-	for i := lo; i < hi; i++ {
+	for i := range s.amp {
 		if i&bc != 0 && i&ba != 0 && i&bb == 0 {
 			j := i&^ba | bb
 			s.amp[i], s.amp[j] = s.amp[j], s.amp[i]
