@@ -166,10 +166,11 @@ func BenchmarkBatchCompile(b *testing.B) {
 // prefix (the annealed placement is the expensive stage worth reusing).
 // The "no-stage-cache" case pays decompose+anneal three times;
 // "stage-cache" pays it once and resumes the other two variants from the
-// cached snapshot (asserted via the per-stage hit counters). The disk
-// pair measures the persistent tier: "disk-cold" compiles into an empty
-// directory, "disk-warm" restarts an engine over a warmed directory and
-// is served entirely from disk blobs.
+// in-memory snapshot (asserted via the per-stage hit counters). The disk
+// pair measures the persistent result tier: "disk-cold" compiles into
+// an empty directory (writing one result blob per variant), "disk-warm"
+// restarts an engine over a warmed directory and is served entirely
+// from result blobs.
 func BenchmarkStagePrefixReuse(b *testing.B) {
 	c := QFT(12)
 	topo := GridDevice(2, 2, 8)

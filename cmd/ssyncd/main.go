@@ -2,7 +2,7 @@
 // compiles, worker-pool batches and portfolio races, backed by a shared
 // tiered content-addressed artifact store — an in-memory result cache
 // over an optional persistent disk tier (-cache-dir, so compiled
-// results survive restarts), plus a per-stage snapshot cache
+// results survive restarts), plus an in-memory per-stage snapshot cache
 // (-stage-cache) that reuses pipeline prefixes such as a
 // decompose→place placement across route variants — and single-flight
 // coalescing so repeated and concurrent identical requests skip
@@ -80,9 +80,9 @@ func main() {
 			"per-priority-class admission queue bound; arrivals beyond it are shed with 429 (0 = default, negative = unbounded)")
 		cache      = flag.Int("cache", engine.DefaultCacheSize, "result-cache entries (negative disables)")
 		stageCache = flag.Int("stage-cache", engine.DefaultStageCacheSize,
-			"per-stage snapshot cache entries for pipeline prefix reuse (0 disables)")
+			"in-memory per-stage snapshot cache entries for pipeline prefix reuse (0 disables)")
 		cacheDir = flag.String("cache-dir", "",
-			"persistent on-disk cache tier directory; results survive restarts (empty disables; one live daemon per directory unless -cache-shared)")
+			"persistent on-disk tier directory for compiled results, which survive restarts (empty disables; one live daemon per directory unless -cache-shared)")
 		cacheShared = flag.Bool("cache-shared", false,
 			"open -cache-dir as a cross-process shared tier (advisory file locking), so N replica daemons can mount one directory and serve each other's compiled results")
 		cacheDiskMax = flag.Int64("cache-disk-max", engine.DefaultDiskMax,

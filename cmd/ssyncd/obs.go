@@ -360,7 +360,7 @@ func (m *snapshotMetrics) update(st engine.Stats) {
 	if st.Stages.Mem.Capacity > 0 {
 		m.updateStore("stages", st.Stages)
 	}
-	// The disk tier is shared between the caches; report it once.
+	// Only the result cache has a disk tier.
 	if st.Results.HasDisk {
 		d := st.Results.Disk
 		m.diskBytes.With().Set(float64(d.Bytes))

@@ -74,7 +74,9 @@ func encodeResult(res *core.Result) ([]byte, error) {
 
 // decodeResult parses a blob written by encodeResult, rebinding its
 // placements to topo (the requesting device — the blob's key covers the
-// topology, so they always agree).
+// topology, so they always agree). A checksum-valid blob may still come
+// from another build or another writer of a shared directory, so the
+// schedule is checked before anything scores it.
 func decodeResult(blob []byte, topo *device.Topology) (*core.Result, error) {
 	body, ok := bytes.CutPrefix(blob, []byte(resultMagic))
 	if !ok {
@@ -83,6 +85,13 @@ func decodeResult(blob []byte, topo *device.Topology) (*core.Result, error) {
 	var a resultArtifact
 	if err := json.Unmarshal(body, &a); err != nil {
 		return nil, fmt.Errorf("engine: result blob: %w", err)
+	}
+	sched := &schedule.Schedule{NumQubits: a.NumQubits, Ops: a.Ops}
+	if err := checkSchedule(sched, topo); err != nil {
+		return nil, fmt.Errorf("engine: result blob: %w", err)
+	}
+	if c := sched.Counts(); c != a.Counts {
+		return nil, fmt.Errorf("engine: result blob counts %+v disagree with its schedule's %+v", a.Counts, c)
 	}
 	initial, err := decodePlacement(a.Initial, topo)
 	if err != nil {
@@ -93,7 +102,7 @@ func decodeResult(blob []byte, topo *device.Topology) (*core.Result, error) {
 		return nil, fmt.Errorf("engine: result blob final placement: %w", err)
 	}
 	return &core.Result{
-		Schedule:    &schedule.Schedule{NumQubits: a.NumQubits, Ops: a.Ops},
+		Schedule:    sched,
 		Initial:     initial,
 		Final:       final,
 		Counts:      a.Counts,
@@ -102,4 +111,31 @@ func decodeResult(blob []byte, topo *device.Topology) (*core.Result, error) {
 		Fallbacks:   a.Fallbacks,
 		PassTimings: a.Timings,
 	}, nil
+}
+
+// checkSchedule rejects a schedule that fails Schedule.Validate, has
+// more qubits than topo holds ions, or names a trap or segment outside
+// topo; sim.Run sizes its clocks by the qubit count and indexes qubits
+// and traps without bounds checks.
+func checkSchedule(s *schedule.Schedule, topo *device.Topology) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	if s.NumQubits > topo.TotalCapacity() {
+		return fmt.Errorf("%d qubits on a %d-ion device", s.NumQubits, topo.TotalCapacity())
+	}
+	for i, op := range s.Ops {
+		switch op.Kind {
+		case schedule.Barrier:
+		case schedule.Move, schedule.JunctionCross:
+			if op.Segment < 0 || op.Segment >= len(topo.Segments) {
+				return fmt.Errorf("op %d (%s) names segment %d of %d", i, op.Kind, op.Segment, len(topo.Segments))
+			}
+		default:
+			if op.Trap < 0 || op.Trap >= topo.NumTraps() {
+				return fmt.Errorf("op %d (%s) names trap %d of %d", i, op.Kind, op.Trap, topo.NumTraps())
+			}
+		}
+	}
+	return nil
 }

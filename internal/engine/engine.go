@@ -147,8 +147,9 @@ type Stats struct {
 	Cache CacheStats
 	// Results breaks the finished-result cache down per tier.
 	Results store.TieredStats
-	// Stages breaks the per-stage snapshot cache down per tier; zero
-	// unless Options.StageCacheSize enabled it.
+	// Stages counts the per-stage snapshot cache, which lives in memory
+	// only (its disk fields stay zero); zero unless
+	// Options.StageCacheSize enabled it.
 	Stages store.TieredStats
 	// Passes aggregates pipeline stages by pass name: how often each
 	// pass ran, its cumulative wall time, and how often its execution
@@ -186,23 +187,24 @@ type Options struct {
 	// coalescing, the stage cache and the disk tier.
 	CacheSize int
 	// StageCacheSize, when positive, enables per-stage prefix caching
-	// with an in-memory front of that many pipeline snapshots: the
-	// runner snapshots the pipeline State at stage boundaries and
-	// resumes later pipelines from the longest cached prefix, so e.g. a
+	// in memory, holding up to that many pipeline snapshots: the runner
+	// snapshots the pipeline State at stage boundaries and resumes later
+	// pipelines from the longest cached prefix, so e.g. a
 	// decompose→place prefix is computed once and reused verbatim across
-	// every route variant. <= 0 disables (per-stage caching is opt-in;
-	// results are identical either way, only work and timings change).
+	// every route variant. Snapshots never go to disk. <= 0 disables
+	// (per-stage caching is opt-in; results are identical either way,
+	// only work and timings change).
 	StageCacheSize int
 	// CacheDir, when non-empty, attaches a persistent on-disk tier under
-	// that directory: finished results (and stage snapshots, when the
-	// stage cache is on) are written as crash-safe content-addressed
-	// blobs, so a restarted engine serves previously compiled requests
-	// without re-running any pass. Without SharedCache the directory must
-	// belong to one live engine at a time — concurrent engines over one
-	// directory make each other's evictions read as corrupt-blob misses
-	// and let the combined footprint exceed DiskMax (results stay
-	// correct; the cache churns). Use Open to surface directory errors;
-	// New panics on them. Ignored by cacheless engines.
+	// that directory: finished results (only) are written as crash-safe
+	// content-addressed blobs, so a restarted engine serves previously
+	// compiled requests without re-running any pass. Without SharedCache
+	// the directory must belong to one live engine at a time —
+	// concurrent engines over one directory make each other's evictions
+	// read as corrupt-blob misses and let the combined footprint exceed
+	// DiskMax (results stay correct; the cache churns). Use Open to
+	// surface directory errors; New panics on them. Ignored by cacheless
+	// engines.
 	CacheDir string
 	// DiskMax bounds the disk tier's total bytes, evicting least
 	// recently accessed blobs first: 0 selects DefaultDiskMax, negative
@@ -254,12 +256,10 @@ const DefaultDiskMax int64 = 256 << 20
 type Engine struct {
 	// results is the finished-result cache; nil when caching is disabled.
 	results *store.Tiered[*core.Result]
-	// stages caches pipeline States at stage boundaries, keyed by prefix
-	// (prefixKeys); nil unless Options.StageCacheSize enabled it.
-	stages *store.Tiered[*pass.Snapshot]
-	// disk is the blob tier shared by results and stages; nil without
-	// Options.CacheDir.
-	disk *store.Disk
+	// stages caches pipeline States at stage boundaries in memory, keyed
+	// by prefix (prefixKeys); nil unless Options.StageCacheSize enabled
+	// it.
+	stages *store.Tiered[*snapshot]
 	// sched admission-controls compilations when Options.Workers > 0:
 	// only actual compiler executions hold a slot, acquired in the
 	// request's priority class. Nil on unbounded engines.
@@ -272,6 +272,9 @@ type Engine struct {
 	// pipeline stages.
 	passMu    sync.Mutex
 	passStats map[string]PassStats
+	// afterMiss, when set, runs between a result-cache miss and the
+	// flight that follows it. Test hook.
+	afterMiss func()
 }
 
 // Open returns an engine with the given options, surfacing disk-tier
@@ -295,6 +298,7 @@ func Open(opt Options) (*Engine, error) {
 	if size == 0 {
 		size = DefaultCacheSize
 	}
+	var disk *store.Disk
 	if opt.CacheDir != "" {
 		max := opt.DiskMax
 		switch {
@@ -307,15 +311,14 @@ func Open(opt Options) (*Engine, error) {
 		if opt.SharedCache {
 			open = store.OpenDiskShared
 		}
-		disk, err := open(opt.CacheDir, max)
-		if err != nil {
+		var err error
+		if disk, err = open(opt.CacheDir, max); err != nil {
 			return nil, err
 		}
-		e.disk = disk
 	}
-	e.results = store.NewTiered[*core.Result](size, e.disk)
+	e.results = store.NewTiered[*core.Result](size, disk)
 	if opt.StageCacheSize > 0 {
-		e.stages = store.NewTiered[*pass.Snapshot](opt.StageCacheSize, e.disk)
+		e.stages = store.NewTiered[*snapshot](opt.StageCacheSize, nil)
 	}
 	return e, nil
 }
@@ -517,18 +520,30 @@ func (e *Engine) Do(ctx context.Context, req Request) Response {
 		e.errors.Add(1)
 		return out
 	}
+	if e.afterMiss != nil {
+		e.afterMiss()
+	}
 	// The leader caches its result inside the flight (before the flight
-	// is deregistered), so once a compilation for this key has started,
-	// no later request can ever start a second one: it either joins the
-	// flight or hits the cache.
+	// is deregistered), and a new leader re-checks the memory tier
+	// before compiling, so a key is compiled once even when its previous
+	// flight landed between this request's probe and its flight.
 	flightStart := time.Now()
+	rechecked := false
 	out.Result, out.Err, out.Coalesced = e.flights.do(ctx, key, func() (*core.Result, error) {
+		if res, ok := e.results.Recheck(store.Key(key)); ok {
+			rechecked = true
+			return res, nil
+		}
 		res, err := e.compile(ctx, x, req, qasmText)
 		if err == nil {
 			e.results.Put(ctx, store.Key(key), res, encodeResult)
 		}
 		return res, err
 	})
+	if rechecked {
+		out.CacheHit, out.CacheTier = true, store.TierMemory.String()
+		log.Debug("engine: result cache hit", "key", key.String(), "tier", out.CacheTier)
+	}
 	if out.Coalesced {
 		e.coalesced.Add(1)
 		// The follower's own span and log line: it waited on an identical
@@ -618,21 +633,21 @@ func (e *Engine) compile(ctx context.Context, x exec, req Request, qasmText stri
 // for the longest stage prefix with a cached snapshot (longest first, so
 // a cached decompose→place beats a cached decompose), restores the
 // pipeline State from it, runs only the remaining stages, and publishes
-// a snapshot at every newly executed snapshotable boundary. It returns
+// a snapshot at every newly executed boundary before routing. It returns
 // the result plus the timings of the stages this call actually executed
 // (the result's own PassTimings itemise the full pipeline, restored
 // stages included).
 func (e *Engine) runStaged(ctx context.Context, x exec, req Request, qasmText string) (*core.Result, []core.PassTiming, error) {
 	// A request cancelled while queueing for its slot must not pay for
-	// the prefix scan below (disk-tier reads, snapshot decode/restore)
-	// either — the between-stage checks in pass.RunFrom only cover what
-	// comes after.
+	// the prefix keys and scan below either — the between-stage checks
+	// in pass.RunFrom only cover what comes after.
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	chain := prefixKeys(req, x, qasmText)
 	start := 0
 	var st *pass.State
+	var err error
 	tr := obs.TraceFrom(ctx)
 	scanStart := time.Now()
 	scanCtx := ctx
@@ -642,33 +657,32 @@ func (e *Engine) runStaged(ctx context.Context, x exec, req Request, qasmText st
 		scanCtx = obs.WithSpan(ctx, scanID)
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
-		snap, _, ok := e.stages.Get(scanCtx, chain[i], pass.DecodeSnapshot)
-		if !ok {
-			continue
+		if snap, _, ok := e.stages.Get(scanCtx, chain[i], nil); ok {
+			st, err = snap.restore(req)
+			start = i + 1
+			break
 		}
-		restored, err := snap.Restore(req.Circuit, req.Topo, ssyncConfig(req), annealConfig(req))
-		if err != nil {
-			continue // absorbed as a miss; the boundary is re-published below
-		}
-		st, start = restored, i+1
-		e.recordStageHits(x.names[:start])
-		obs.Logger(ctx).Debug("engine: stage-prefix cache hit",
-			"stages", start, "of", len(x.passes))
-		break
 	}
 	if tr != nil {
 		tr.Record(scanID, obs.SpanID(ctx), "cache.stages", scanStart, time.Since(scanStart),
 			map[string]string{"restored": strconv.Itoa(start)})
 	}
+	if err != nil {
+		return nil, nil, err
+	}
 	if st == nil {
 		st = newState(req)
+	} else {
+		e.recordStageHits(x.names[:start])
+		obs.Logger(ctx).Debug("engine: stage-prefix cache hit",
+			"stages", start, "of", len(x.passes))
 	}
 	after := func(stage int, st *pass.State) {
 		if stage >= len(chain) {
 			return // the final boundary is the result; the result cache owns it
 		}
-		if snap, ok := pass.Capture(st); ok {
-			e.stages.Put(ctx, chain[stage], snap, (*pass.Snapshot).Encode)
+		if snap, ok := capture(st); ok {
+			e.stages.Put(ctx, chain[stage], snap, nil)
 		}
 	}
 	res, err := pass.RunFrom(ctx, x.passes, st, start, after)

@@ -34,9 +34,7 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 const keyVersion = "ssync-req-v4"
 
 // stageKeyVersion tags the prefix-key layout. Prefix keys live in their
-// own hash domain: a stage key can never alias a request key, so stage
-// snapshots and finished results may share one disk tier without type
-// confusion.
+// own hash domain, so a stage key can never alias a request key.
 const stageKeyVersion = "ssync-stage-v1"
 
 // RequestKey computes the content address of a request. The circuit

@@ -311,3 +311,50 @@ func TestEngineWorkersBoundCompilations(t *testing.T) {
 		t.Fatalf("slot-holding compile failed: %v", res.Err)
 	}
 }
+
+// TestLeaderRechecksResultsBeforeCompiling forces the interleaving in
+// which a request misses the result cache, an identical flight then
+// compiles, caches and lands, and only afterwards does the first request
+// open a flight of its own. That new leader must answer from the memory
+// tier instead of compiling the key a second time, and the result tier
+// must count one miss and one memory hit for the two requests.
+func TestLeaderRechecksResultsBeforeCompiling(t *testing.T) {
+	eng := New(Options{})
+	req := testRequest(t, "BV_12", "S-4", 8, CompilerSSync)
+	missed := make(chan struct{})
+	release := make(chan struct{})
+	var misses atomic.Int64
+	eng.afterMiss = func() {
+		if misses.Add(1) == 1 {
+			close(missed)
+			<-release
+		}
+	}
+
+	late := make(chan Response, 1)
+	go func() { late <- eng.Do(context.Background(), req) }()
+	<-missed // the first request has missed and not yet opened a flight
+	first := eng.Do(context.Background(), req)
+	if first.Err != nil || first.CacheHit {
+		t.Fatalf("landing request: err=%v hit=%v, want a fresh compile", first.Err, first.CacheHit)
+	}
+	close(release)
+	got := <-late
+
+	if got.Err != nil {
+		t.Fatal(got.Err)
+	}
+	if !got.CacheHit || got.CacheTier != "memory" || got.Coalesced {
+		t.Errorf("late leader: hit=%v tier=%q coalesced=%v, want a memory-tier hit", got.CacheHit, got.CacheTier, got.Coalesced)
+	}
+	if got.Result != first.Result {
+		t.Error("late leader did not answer with the cached result")
+	}
+	st := eng.Stats()
+	if st.Compiled != 1 {
+		t.Errorf("%d compilations for one key, want 1", st.Compiled)
+	}
+	if st.Results.Misses != 1 || st.Results.MemHits != 1 {
+		t.Errorf("result tier misses=%d mem hits=%d, want 1 and 1", st.Results.Misses, st.Results.MemHits)
+	}
+}

@@ -2,11 +2,14 @@ package engine
 
 import (
 	"context"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ssync/internal/core"
 	"ssync/internal/pass"
+	"ssync/internal/schedule"
 	"ssync/internal/store"
 )
 
@@ -155,8 +158,9 @@ func TestStagePrefixReuseAcrossRouteVariants(t *testing.T) {
 // TestDiskTierServesAcrossRestart is the persistence acceptance
 // criterion: an engine restarted over the same -cache-dir serves a
 // previously compiled request from the disk tier without re-running any
-// pass — and a *new* route variant resumes from the persisted
-// decompose→place snapshot, re-running only its route stage.
+// pass. Stage snapshots live in memory only, so a *new* route variant
+// after the restart re-runs decompose and place, and the directory holds
+// one blob per compiled result and nothing else.
 func TestDiskTierServesAcrossRestart(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -202,8 +206,8 @@ func TestDiskTierServesAcrossRestart(t *testing.T) {
 		t.Errorf("result tier disk hits = %d, want 1", st.Results.DiskHits)
 	}
 
-	// A route variant never compiled before the restart reuses the
-	// persisted decompose→place snapshot: only its route stage runs.
+	// A route variant never compiled before the restart finds no stage
+	// snapshot: it runs every stage.
 	third := eng2.Do(ctx, pipelineRequest(t, "QFT_12", "G-2x2", 8, routeVariantSpecs(pass.RouteMurali)...))
 	if third.Err != nil {
 		t.Fatal(third.Err)
@@ -212,17 +216,26 @@ func TestDiskTierServesAcrossRestart(t *testing.T) {
 		t.Fatal("new route variant reported a whole-result cache hit")
 	}
 	st = eng2.Stats()
-	for _, stage := range []string{pass.DecomposeBasis, pass.PlaceGreedy} {
-		if ps := st.Passes[stage]; ps.Runs != 0 || ps.CacheHits != 1 {
-			t.Errorf("%s after restart: runs=%d hits=%d, want 0 runs 1 hit (restored from disk)",
-				stage, ps.Runs, ps.CacheHits)
+	for _, stage := range []string{pass.DecomposeBasis, pass.PlaceGreedy, pass.RouteMurali} {
+		if ps := st.Passes[stage]; ps.Runs != 1 || ps.CacheHits != 0 {
+			t.Errorf("%s after restart: runs=%d hits=%d, want 1 run 0 hits", stage, ps.Runs, ps.CacheHits)
 		}
 	}
-	if ps := st.Passes[pass.RouteMurali]; ps.Runs != 1 {
-		t.Errorf("route-murali ran %d times, want 1", ps.Runs)
+	if st.Stages.HasDisk || st.Stages.DiskHits != 0 {
+		t.Errorf("stage tier has disk=%v with %d disk hits, want a memory-only tier", st.Stages.HasDisk, st.Stages.DiskHits)
 	}
-	if st.Stages.DiskHits != 1 {
-		t.Errorf("stage tier disk hits = %d, want 1", st.Stages.DiskHits)
+
+	// Three route variants compiled over the directory leave exactly
+	// three blobs: the results.
+	if fourth := eng2.Do(ctx, pipelineRequest(t, "QFT_12", "G-2x2", 8, routeVariantSpecs(pass.RouteDai)...)); fourth.Err != nil {
+		t.Fatal(fourth.Err)
+	}
+	blobs, err := filepath.Glob(filepath.Join(dir, "*.blob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blobs) != 3 {
+		t.Errorf("cache directory holds %d blobs after three compiled results, want 3", len(blobs))
 	}
 }
 
@@ -288,5 +301,120 @@ func TestResultArtifactRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeResult([]byte("ssync-snap-v1\x00{}"), req.Topo); err == nil {
 		t.Error("decoded a snapshot blob as a result")
+	}
+}
+
+// tamperedResult returns a copy of res, with its own copy of the
+// schedule, after edit; res itself stays untouched.
+func tamperedResult(res *core.Result, edit func(r *core.Result)) *core.Result {
+	out := *res
+	s := &schedule.Schedule{NumQubits: res.Schedule.NumQubits}
+	for _, op := range res.Schedule.Ops {
+		op.Qubits = slices.Clone(op.Qubits)
+		s.Ops = append(s.Ops, op)
+	}
+	out.Schedule = s
+	edit(&out)
+	return &out
+}
+
+// firstOp returns the index of the first op of kind k.
+func firstOp(t *testing.T, s *schedule.Schedule, k schedule.Kind) int {
+	t.Helper()
+	for i, op := range s.Ops {
+		if op.Kind == k {
+			return i
+		}
+	}
+	t.Fatalf("schedule has no %s op", k)
+	return -1
+}
+
+// TestDecodeResultRejectsInconsistentBlobs: a well-formed blob whose
+// schedule would make sim.Run index out of range, or whose counts
+// disagree with its schedule, fails to decode.
+func TestDecodeResultRejectsInconsistentBlobs(t *testing.T) {
+	req := testRequest(t, "BV_12", "S-4", 8, CompilerSSync)
+	res, err := Direct(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := func(k schedule.Kind, edit func(op *schedule.Op)) func(r *core.Result) {
+		return func(r *core.Result) { edit(&r.Schedule.Ops[firstOp(t, r.Schedule, k)]) }
+	}
+	edits := map[string]func(r *core.Result){
+		"qubit past the circuit":    op(schedule.Gate1Q, func(op *schedule.Op) { op.Qubits[0] = 18 }),
+		"negative qubit count":      func(r *core.Result) { r.Schedule.NumQubits, r.Schedule.Ops = -1, nil },
+		"more qubits than ions":     func(r *core.Result) { r.Schedule.NumQubits = 1 << 40 },
+		"trap past the device":      op(schedule.Split, func(op *schedule.Op) { op.Trap = 4 }),
+		"negative trap":             op(schedule.Gate2Q, func(op *schedule.Op) { op.Trap = -1 }),
+		"segment past the device":   op(schedule.Move, func(op *schedule.Op) { op.Segment = len(req.Topo.Segments) }),
+		"move without an ion":       op(schedule.Move, func(op *schedule.Op) { op.Qubits = nil }),
+		"counts not the schedule's": func(r *core.Result) { r.Counts.Shuttles = 0 },
+	}
+	for name, edit := range edits {
+		blob, err := encodeResult(tamperedResult(res, edit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeResult(blob, req.Topo); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+}
+
+// TestUncheckedDiskResultIsRecompiled: a checksum-valid result blob
+// whose schedule names a qubit the circuit does not have is recompiled,
+// not served, and the recompile overwrites it.
+func TestUncheckedDiskResultIsRecompiled(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	req := testRequest(t, "BV_12", "S-4", 8, CompilerSSync)
+	eng1, err := Open(Options{CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := eng1.Do(ctx, req)
+	if first.Err != nil {
+		t.Fatal(first.Err)
+	}
+	blob, err := encodeResult(tamperedResult(first.Result, func(r *core.Result) {
+		r.Schedule.Ops[firstOp(t, r.Schedule, schedule.Gate1Q)].Qubits[0] = 18 // BV_12 has 13 qubits
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := store.OpenDisk(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.Put(store.Key(first.Key), blob); err != nil {
+		t.Fatal(err)
+	}
+
+	eng2, err := Open(Options{CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := eng2.Do(ctx, req)
+	if second.Err != nil {
+		t.Fatal(second.Err)
+	}
+	if second.CacheHit {
+		t.Fatalf("tampered blob served as a %s-tier hit", second.CacheTier)
+	}
+	if !reflect.DeepEqual(second.Result.Schedule, first.Result.Schedule) {
+		t.Error("recompiled schedule differs from the original")
+	}
+	if st := eng2.Stats(); st.Compiled != 1 || st.Results.Errors != 1 {
+		t.Errorf("compiled=%d result-tier errors=%d, want 1 and 1", st.Compiled, st.Results.Errors)
+	}
+
+	eng3, err := Open(Options{CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third := eng3.Do(ctx, req); !third.CacheHit || third.CacheTier != "disk" {
+		t.Errorf("after the recompile: hit=%v tier=%q, want the healed blob from disk", third.CacheHit, third.CacheTier)
 	}
 }

@@ -264,9 +264,11 @@ func Run(ctx context.Context, passes []Pass, st *State) (*core.Result, error) {
 
 // RunFrom executes passes[start:] over st — the resume form of Run for
 // per-stage caching: the caller restores st to the boundary after stage
-// start-1 (see Snapshot.Restore) and the pipeline continues from there,
-// with st.Timings already carrying the restored stages' timings so the
-// final Result itemises the whole pipeline. after, when non-nil, is
+// start-1 (the engine keeps such boundaries in memory) and the pipeline
+// continues from there, with st.Timings already carrying the restored
+// stages' timings so the final Result itemises the whole pipeline.
+// Passes replace st.Circuit rather than mutate it, so a restored State
+// may share its working circuit with others. after, when non-nil, is
 // invoked synchronously at the boundary after each executed stage —
 // before the next stage can mutate the state — which is where the engine
 // captures prefix snapshots. Result.CompileTime covers only the stages

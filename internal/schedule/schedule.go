@@ -133,8 +133,12 @@ func (s *Schedule) LogicalGates() []Op {
 	return out
 }
 
-// Validate performs structural checks: qubit ranges, annotation sanity.
+// Validate performs structural checks: qubit ranges, op arities,
+// annotation sanity.
 func (s *Schedule) Validate() error {
+	if s.NumQubits < 0 {
+		return fmt.Errorf("schedule: %d qubits", s.NumQubits)
+	}
 	for i, op := range s.Ops {
 		for _, q := range op.Qubits {
 			if q < 0 || q >= s.NumQubits {
@@ -149,18 +153,16 @@ func (s *Schedule) Validate() error {
 			if op.ChainLen < 2 {
 				return fmt.Errorf("schedule: op %d (%s) has chain length %d < 2", i, op.Kind, op.ChainLen)
 			}
-		case Gate1Q, Measure, Split, Merge, Shift:
+		case Gate1Q, Measure, Split, Merge, Shift, Move, JunctionCross:
 			if len(op.Qubits) != 1 {
 				return fmt.Errorf("schedule: op %d (%s) has %d qubits, want 1", i, op.Kind, len(op.Qubits))
 			}
-		case Move:
-			if op.Hops < 1 {
-				return fmt.Errorf("schedule: op %d (move) has %d hops", i, op.Hops)
-			}
-		case JunctionCross:
-			if op.Junctions < 1 {
-				return fmt.Errorf("schedule: op %d (junction) crosses %d junctions", i, op.Junctions)
-			}
+		}
+		switch {
+		case op.Kind == Move && op.Hops < 1:
+			return fmt.Errorf("schedule: op %d (move) has %d hops", i, op.Hops)
+		case op.Kind == JunctionCross && op.Junctions < 1:
+			return fmt.Errorf("schedule: op %d (junction) crosses %d junctions", i, op.Junctions)
 		}
 	}
 	return nil

@@ -72,6 +72,14 @@ func TestValidate(t *testing.T) {
 	if err := bad4.Validate(); err == nil {
 		t.Error("zero-hop move accepted")
 	}
+	bad5 := New(2)
+	bad5.Append(Op{Kind: JunctionCross, Junctions: 1})
+	if err := bad5.Validate(); err == nil {
+		t.Error("junction crossing without an ion accepted")
+	}
+	if err := New(-1).Validate(); err == nil {
+		t.Error("negative qubit count accepted")
+	}
 }
 
 func TestKindString(t *testing.T) {

@@ -6,10 +6,10 @@
 // address computed by the caller (the engine derives it from the
 // canonical request form) — so a key hit is a proof the stored artifact
 // answers the lookup, across processes and restarts. The store is
-// value-agnostic: callers supply per-call encode/decode functions, which
-// lets one disk tier hold heterogeneous artifacts (compiled results,
-// pipeline stage snapshots, …) while each typed view keeps its own
-// in-memory front.
+// value-agnostic: callers supply per-call encode/decode functions, so
+// decoding may close over request context. The engine's result cache
+// is a Tiered view over the disk tier; its stage cache is a memory-only
+// Tiered view.
 package store
 
 import (

@@ -115,6 +115,22 @@ func (t *Tiered[V]) Get(ctx context.Context, key Key, decode func([]byte) (V, er
 	return zero, TierNone, false
 }
 
+// Recheck looks key up in the memory front once more, for a caller
+// whose Get just missed and who has since waited (the engine's new
+// flight leader, whose predecessor may have landed in between). A hit
+// turns that Get's miss into a memory hit; a miss counts nothing, so
+// each caller still counts one lookup.
+func (t *Tiered[V]) Recheck(key Key) (V, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v, ok := t.mem.Get(key)
+	if ok {
+		t.misses--
+		t.memHits++
+	}
+	return v, ok
+}
+
 // recordDiskOp records one disk-tier blob operation that began at start
 // as a "store.disk" span under ctx's current span, with its op ("get",
 // "put") and outcome ("ok", "miss", "error"); a no-op when ctx carries

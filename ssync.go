@@ -425,9 +425,10 @@ func NewEngine(opt EngineOptions) *Engine { return engine.New(opt) }
 // without re-running any pass.
 func OpenEngine(opt EngineOptions) (*Engine, error) { return engine.Open(opt) }
 
-// TieredCacheStats breaks one of the engine's caches (results, stage
-// snapshots) down per tier: in-memory front and optional persistent
-// disk tier, snapshotted consistently under one lock.
+// TieredCacheStats breaks one of the engine's caches down per tier: the
+// in-memory front and, for results, the optional persistent disk tier,
+// snapshotted consistently under one lock. The stage-snapshot cache is
+// memory-only.
 type TieredCacheStats = store.TieredStats
 
 // MemoryTierStats snapshots an in-memory LRU cache tier.
@@ -435,12 +436,6 @@ type MemoryTierStats = store.LRUStats
 
 // DiskTierStats snapshots the persistent on-disk cache tier.
 type DiskTierStats = store.DiskStats
-
-// PassSnapshot is a serialisable image of a pipeline State at a stage
-// boundary — the unit of per-stage prefix caching. Embedders normally
-// never touch snapshots directly; the engine captures and restores them
-// when EngineOptions.StageCacheSize is set.
-type PassSnapshot = pass.Snapshot
 
 // defaultEngine backs the package-level Do, batch and portfolio helpers
 // so repeated calls share one result cache.
