@@ -4,16 +4,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
 	"ssync/internal/device"
+	"ssync/internal/sim"
 	"ssync/internal/workloads"
 )
 
 // TestBehaviourGolden pins what the built-in compilers emit on the
 // quick-scale Figs. 8–10 grid: every schedule.Counts field plus the op
-// count of each (workload, topology, compiler) cell, compared exactly
+// count of each (workload, topology, compiler) cell, and the schedule's
+// execution time, log success rate and peak transport n̄ under
+// sim.DefaultOptions() (shortest exact decimal), compared exactly
 // against the checked-in golden. Refactors must leave it unchanged; after
 // an intended behaviour change, refresh it with:
 //
@@ -48,7 +52,10 @@ func TestBehaviourGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s on %s with %s: %v", g.app, tn, name, err)
 				}
-				fmt.Fprintf(&b, "%s %s %s ops=%d %+v\n", g.app, tn, name, len(res.Schedule.Ops), res.Counts)
+				m := sim.Run(res.Schedule, topo, sim.DefaultOptions())
+				fmt.Fprintf(&b, "%s %s %s ops=%d %+v time=%s log_success=%s max_nbar=%s\n",
+					g.app, tn, name, len(res.Schedule.Ops), res.Counts,
+					exact(m.ExecutionTime), exact(m.LogSuccess), exact(m.MaxNbar))
 			}
 		}
 	}
@@ -77,3 +84,6 @@ func TestBehaviourGolden(t *testing.T) {
 		}
 	}
 }
+
+// exact prints x as the shortest decimal that parses back to it.
+func exact(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }

@@ -357,3 +357,25 @@ func TestT2IdleDephasing(t *testing.T) {
 		t.Error("default T2 should be 0 (disabled), matching the paper")
 	}
 }
+
+// BenchmarkSimRun scores the largest schedule a fresh compile produces
+// on the paper grid: Heisenberg_48 on G-2x3 at paper capacity (about
+// 40k ops), compiled once by S-SYNC.
+func BenchmarkSimRun(b *testing.B) {
+	topo, err := device.ByName("G-2x3", device.PaperCapacity("G-2x3"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := workloads.Build("Heisenberg_48")
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Compile(core.DefaultConfig(), c, topo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := DefaultOptions()
+	for b.Loop() {
+		Run(res.Schedule, topo, opt)
+	}
+}
