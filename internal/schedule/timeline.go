@@ -5,8 +5,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"ssync/internal/noise"
 )
 
 // Interval is one timed operation on one qubit's lane.
@@ -17,62 +15,13 @@ type Interval struct {
 }
 
 // Timeline is the timed expansion of a schedule: per-qubit lanes of
-// non-overlapping intervals under the same timing model the simulator
-// uses. It powers parallelism analysis and Gantt-style rendering.
+// non-overlapping intervals. sim.Timeline builds one under the
+// simulator's clock. It powers parallelism analysis and Gantt-style
+// rendering.
 type Timeline struct {
 	NumQubits int
 	Lanes     [][]Interval
 	Makespan  float64
-}
-
-// BuildTimeline assigns start/end times to every op of s using the timing
-// constants in p, mirroring sim.Run's clock rules: ops start when all
-// their qubits are free; transport ops occupy only the moving qubit.
-func BuildTimeline(s *Schedule, p noise.Params) *Timeline {
-	t := &Timeline{NumQubits: s.NumQubits, Lanes: make([][]Interval, s.NumQubits)}
-	clock := make([]float64, s.NumQubits)
-	place := func(op Op, qubits []int, dur float64) {
-		start := 0.0
-		for _, q := range qubits {
-			if clock[q] > start {
-				start = clock[q]
-			}
-		}
-		end := start + dur
-		iv := Interval{Op: op, Start: start, End: end}
-		for _, q := range qubits {
-			clock[q] = end
-			t.Lanes[q] = append(t.Lanes[q], iv)
-		}
-		if end > t.Makespan {
-			t.Makespan = end
-		}
-	}
-	for _, op := range s.Ops {
-		switch op.Kind {
-		case Gate1Q:
-			place(op, op.Qubits, p.OneQubitTime)
-		case Gate2Q:
-			place(op, op.Qubits, p.TwoQubitTime(op.ChainLen, op.IonDist))
-		case SwapGate:
-			place(op, op.Qubits, p.SwapTime(op.ChainLen, op.IonDist))
-		case Shift:
-			place(op, op.Qubits, p.ShiftTime)
-		case Split:
-			place(op, op.Qubits, p.SplitTime)
-		case Move:
-			place(op, op.Qubits, p.MoveTime*float64(op.Hops))
-		case JunctionCross:
-			place(op, op.Qubits, p.JunctionTime(op.Junctions))
-		case Merge:
-			place(op, op.Qubits, p.MergeTime)
-		case Measure:
-			place(op, op.Qubits, p.MeasureTime)
-		case Barrier:
-			place(op, op.Qubits, 0)
-		}
-	}
-	return t
 }
 
 // Stats summarises a timeline.

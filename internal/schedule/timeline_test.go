@@ -1,27 +1,35 @@
-package schedule
+package schedule_test
 
 import (
 	"math"
 	"strings"
 	"testing"
 
+	"ssync/internal/device"
 	"ssync/internal/noise"
+	"ssync/internal/schedule"
+	"ssync/internal/sim"
 )
 
-func timedSample() *Schedule {
-	s := New(4)
-	s.Append(Op{Kind: Gate1Q, Name: "h", Qubits: []int{0}, Trap: 0, ChainLen: 2})
-	s.Append(Op{Kind: Gate2Q, Name: "cx", Qubits: []int{0, 1}, Trap: 0, ChainLen: 2})
-	s.Append(Op{Kind: Gate2Q, Name: "cx", Qubits: []int{2, 3}, Trap: 1, ChainLen: 2})
-	s.Append(Op{Kind: Split, Qubits: []int{1}, Trap: 0, ChainLen: 2})
-	s.Append(Op{Kind: Move, Qubits: []int{1}, Segment: 0, Hops: 2})
-	s.Append(Op{Kind: Merge, Qubits: []int{1}, Trap: 1, ChainLen: 3})
+// timeline lays s out under the simulator's clock with timing p.
+func timeline(s *schedule.Schedule, p noise.Params) *schedule.Timeline {
+	return sim.Timeline(s, sim.Options{Params: p})
+}
+
+func timedSample() *schedule.Schedule {
+	s := schedule.New(4)
+	s.Append(schedule.Op{Kind: schedule.Gate1Q, Name: "h", Qubits: []int{0}, Trap: 0, ChainLen: 2})
+	s.Append(schedule.Op{Kind: schedule.Gate2Q, Name: "cx", Qubits: []int{0, 1}, Trap: 0, ChainLen: 2})
+	s.Append(schedule.Op{Kind: schedule.Gate2Q, Name: "cx", Qubits: []int{2, 3}, Trap: 1, ChainLen: 2})
+	s.Append(schedule.Op{Kind: schedule.Split, Qubits: []int{1}, Trap: 0, ChainLen: 2})
+	s.Append(schedule.Op{Kind: schedule.Move, Qubits: []int{1}, Segment: 0, Hops: 2})
+	s.Append(schedule.Op{Kind: schedule.Merge, Qubits: []int{1}, Trap: 1, ChainLen: 3})
 	return s
 }
 
 func TestBuildTimelineClocks(t *testing.T) {
 	p := noise.DefaultParams()
-	tl := BuildTimeline(timedSample(), p)
+	tl := timeline(timedSample(), p)
 	if err := tl.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +56,7 @@ func TestBuildTimelineClocks(t *testing.T) {
 
 func TestTimelineStats(t *testing.T) {
 	p := noise.DefaultParams()
-	tl := BuildTimeline(timedSample(), p)
+	tl := timeline(timedSample(), p)
 	st := tl.Stats()
 	if st.Makespan != tl.Makespan {
 		t.Error("stats makespan mismatch")
@@ -74,19 +82,23 @@ func TestTimelineStats(t *testing.T) {
 }
 
 func TestTimelineMatchesSimulatorMakespan(t *testing.T) {
-	// The timeline must reproduce the simulator's execution time exactly —
-	// they share clock rules by construction.
-	// (Cross-check lives in sim's tests too; here we verify determinism.)
+	// The timeline and the simulator walk one clock, so the makespan is
+	// the simulator's execution time exactly, and rebuilding it gives the
+	// same value.
 	p := noise.DefaultParams()
-	a := BuildTimeline(timedSample(), p).Makespan
-	b := BuildTimeline(timedSample(), p).Makespan
+	a := timeline(timedSample(), p).Makespan
+	b := timeline(timedSample(), p).Makespan
 	if a != b {
 		t.Errorf("timeline not deterministic: %g vs %g", a, b)
+	}
+	m := sim.Run(timedSample(), device.Linear(2, 4), sim.Options{Params: p})
+	if a != m.ExecutionTime {
+		t.Errorf("timeline makespan %g != simulator %g", a, m.ExecutionTime)
 	}
 }
 
 func TestGanttRendering(t *testing.T) {
-	tl := BuildTimeline(timedSample(), noise.DefaultParams())
+	tl := timeline(timedSample(), noise.DefaultParams())
 	out := tl.Gantt(40)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 5 { // 4 lanes + axis
@@ -108,7 +120,7 @@ func TestGanttRendering(t *testing.T) {
 }
 
 func TestGanttEmpty(t *testing.T) {
-	tl := BuildTimeline(New(2), noise.DefaultParams())
+	tl := timeline(schedule.New(2), noise.DefaultParams())
 	if out := tl.Gantt(20); out != "" {
 		t.Errorf("empty schedule rendered %q", out)
 	}
@@ -116,11 +128,11 @@ func TestGanttEmpty(t *testing.T) {
 
 func TestTimelineBarrierSync(t *testing.T) {
 	p := noise.DefaultParams()
-	s := New(2)
-	s.Append(Op{Kind: Gate1Q, Name: "h", Qubits: []int{0}, Trap: 0, ChainLen: 1})
-	s.Append(Op{Kind: Barrier, Qubits: []int{0, 1}})
-	s.Append(Op{Kind: Gate1Q, Name: "h", Qubits: []int{1}, Trap: 0, ChainLen: 1})
-	tl := BuildTimeline(s, p)
+	s := schedule.New(2)
+	s.Append(schedule.Op{Kind: schedule.Gate1Q, Name: "h", Qubits: []int{0}, Trap: 0, ChainLen: 1})
+	s.Append(schedule.Op{Kind: schedule.Barrier, Qubits: []int{0, 1}})
+	s.Append(schedule.Op{Kind: schedule.Gate1Q, Name: "h", Qubits: []int{1}, Trap: 0, ChainLen: 1})
+	tl := timeline(s, p)
 	// q1's h must start after q0's h (barrier synchronised).
 	if got := tl.Lanes[1][1].Start; math.Abs(got-p.OneQubitTime) > 1e-9 {
 		t.Errorf("post-barrier start = %g, want %g", got, p.OneQubitTime)

@@ -38,13 +38,69 @@ type Metrics struct {
 	MaxNbar float64
 }
 
+// The clock. Run and Timeline walk a schedule under one timing model:
+// each op runs for the time its kind takes under opt.Params (opTime),
+// starts once all its qubits are free (clock.start), and holds them
+// until it ends. Ops that opt drops take no time and hold nothing.
+
+// opTime returns how long op runs under opt, or ok=false for an op opt
+// drops: transport under PerfectShuttle, inserted SWAPs under
+// PerfectSwap, and kinds the model does not time.
+func opTime(op *schedule.Op, opt *Options) (dur float64, ok bool) {
+	p := &opt.Params
+	switch op.Kind {
+	case schedule.Gate1Q:
+		return p.OneQubitTime, true
+	case schedule.Gate2Q:
+		return p.TwoQubitTime(op.ChainLen, op.IonDist), true
+	case schedule.SwapGate:
+		return p.SwapTime(op.ChainLen, op.IonDist), !opt.PerfectSwap
+	case schedule.Shift:
+		return p.ShiftTime, !opt.PerfectShuttle
+	case schedule.Split:
+		return p.SplitTime, !opt.PerfectShuttle
+	case schedule.Move:
+		return p.MoveTime * float64(op.Hops), !opt.PerfectShuttle
+	case schedule.JunctionCross:
+		return p.JunctionTime(op.Junctions), !opt.PerfectShuttle
+	case schedule.Merge:
+		return p.MergeTime, !opt.PerfectShuttle
+	case schedule.Measure:
+		return p.MeasureTime, true
+	case schedule.Barrier:
+		return 0, true
+	}
+	return 0, false
+}
+
+// clock holds when each qubit is next free, in µs.
+type clock []float64
+
+// start returns when an op on qubits begins: once all of them are free.
+func (c clock) start(qubits []int) float64 {
+	t := 0.0
+	for _, q := range qubits {
+		if c[q] > t {
+			t = c[q]
+		}
+	}
+	return t
+}
+
+// hold keeps qubits busy until end.
+func (c clock) hold(qubits []int, end float64) {
+	for _, q := range qubits {
+		c[q] = end
+	}
+}
+
 // Run simulates schedule s on topo: per-qubit clocks advance through gate
 // and transport durations; per-trap phonon occupations accumulate k1/k2
 // quanta from transport plus Γ·t background heating; each two-qubit gate
 // multiplies Eq. 4's fidelity into the success rate.
 func Run(s *schedule.Schedule, topo *device.Topology, opt Options) Metrics {
-	p := opt.Params
-	clock := make([]float64, s.NumQubits)
+	p := &opt.Params
+	clk := make(clock, s.NumQubits)
 	nbarOps := make([]float64, topo.NumTraps())
 	logSuccess := 0.0
 	dead := false
@@ -60,87 +116,42 @@ func Run(s *schedule.Schedule, topo *device.Topology, opt Options) Metrics {
 	nbarAt := func(trap int, t float64) float64 {
 		return nbarOps[trap] + p.Gamma*t*1e-6
 	}
-
+	// Only transport changes a trap's quanta, so the peak is checked there.
 	maxNbar := 0.0
-	for _, op := range s.Ops {
-		switch op.Kind {
-		case schedule.Gate1Q:
-			q := op.Qubits[0]
-			clock[q] += p.OneQubitTime
-			addF(p.OneQubitFidelity)
-
-		case schedule.Gate2Q, schedule.SwapGate:
-			if op.Kind == schedule.SwapGate && opt.PerfectSwap {
-				continue
-			}
-			q1, q2 := op.Qubits[0], op.Qubits[1]
-			start := math.Max(clock[q1], clock[q2])
-			if p.T2 > 0 {
-				// Idle dephasing: the earlier-arriving qubit waits.
-				idle := (start - clock[q1]) + (start - clock[q2])
-				addF(math.Exp(-idle / p.T2))
-			}
-			tau := p.TwoQubitTime(op.ChainLen, op.IonDist)
-			if op.Kind == schedule.SwapGate {
-				tau = p.SwapTime(op.ChainLen, op.IonDist)
-			}
-			end := start + tau
-			clock[q1], clock[q2] = end, end
-			addF(p.TwoQubitFidelity(tau, op.ChainLen, nbarAt(op.Trap, start)))
-
-		case schedule.Shift:
-			if opt.PerfectShuttle {
-				continue
-			}
-			clock[op.Qubits[0]] += p.ShiftTime
-
-		case schedule.Split:
-			if opt.PerfectShuttle {
-				continue
-			}
-			clock[op.Qubits[0]] += p.SplitTime
-			nbarOps[op.Trap] += p.K1 / 2
-
-		case schedule.Move:
-			if opt.PerfectShuttle {
-				continue
-			}
-			clock[op.Qubits[0]] += p.MoveTime * float64(op.Hops)
-
-		case schedule.JunctionCross:
-			if opt.PerfectShuttle {
-				continue
-			}
-			clock[op.Qubits[0]] += p.JunctionTime(op.Junctions)
-
-		case schedule.Merge:
-			if opt.PerfectShuttle {
-				continue
-			}
-			clock[op.Qubits[0]] += p.MergeTime
-			nbarOps[op.Trap] += p.K1/2 + p.K2
-
-		case schedule.Measure:
-			clock[op.Qubits[0]] += p.MeasureTime
-
-		case schedule.Barrier:
-			sync := 0.0
-			for _, q := range op.Qubits {
-				sync = math.Max(sync, clock[q])
-			}
-			for _, q := range op.Qubits {
-				clock[q] = sync
-			}
-		}
-		for _, nb := range nbarOps {
-			if nb > maxNbar {
-				maxNbar = nb
-			}
+	heat := func(trap int, quanta float64) {
+		nbarOps[trap] += quanta
+		if nbarOps[trap] > maxNbar {
+			maxNbar = nbarOps[trap]
 		}
 	}
 
+	for i := range s.Ops {
+		op := &s.Ops[i]
+		dur, ok := opTime(op, &opt)
+		if !ok {
+			continue
+		}
+		start := clk.start(op.Qubits)
+		switch op.Kind {
+		case schedule.Gate1Q:
+			addF(p.OneQubitFidelity)
+		case schedule.Gate2Q, schedule.SwapGate:
+			if p.T2 > 0 {
+				// Idle dephasing: the earlier-arriving qubit waits.
+				idle := (start - clk[op.Qubits[0]]) + (start - clk[op.Qubits[1]])
+				addF(math.Exp(-idle / p.T2))
+			}
+			addF(p.TwoQubitFidelity(dur, op.ChainLen, nbarAt(op.Trap, start)))
+		case schedule.Split:
+			heat(op.Trap, p.K1/2)
+		case schedule.Merge:
+			heat(op.Trap, p.K1/2+p.K2)
+		}
+		clk.hold(op.Qubits, start+dur)
+	}
+
 	m := Metrics{Counts: s.Counts(), MaxNbar: maxNbar}
-	for _, t := range clock {
+	for _, t := range clk {
 		if t > m.ExecutionTime {
 			m.ExecutionTime = t
 		}
@@ -153,4 +164,29 @@ func Run(s *schedule.Schedule, topo *device.Topology, opt Options) Metrics {
 		m.SuccessRate = math.Exp(logSuccess)
 	}
 	return m
+}
+
+// Timeline lays s out on per-qubit lanes under the clock Run scores
+// with: the same durations, start rule and dropped ops.
+func Timeline(s *schedule.Schedule, opt Options) *schedule.Timeline {
+	t := &schedule.Timeline{NumQubits: s.NumQubits, Lanes: make([][]schedule.Interval, s.NumQubits)}
+	clk := make(clock, s.NumQubits)
+	for i := range s.Ops {
+		op := &s.Ops[i]
+		dur, ok := opTime(op, &opt)
+		if !ok {
+			continue
+		}
+		start := clk.start(op.Qubits)
+		end := start + dur
+		iv := schedule.Interval{Op: *op, Start: start, End: end}
+		for _, q := range op.Qubits {
+			t.Lanes[q] = append(t.Lanes[q], iv)
+		}
+		clk.hold(op.Qubits, end)
+		if end > t.Makespan {
+			t.Makespan = end
+		}
+	}
+	return t
 }

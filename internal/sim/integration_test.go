@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -9,36 +8,8 @@ import (
 	"ssync/internal/core"
 	"ssync/internal/device"
 	"ssync/internal/qasm"
-	"ssync/internal/schedule"
 	"ssync/internal/workloads"
 )
-
-// The timeline and the simulator implement the same clock rules; their
-// makespans must agree on real compiled schedules.
-func TestTimelineMatchesSimulator(t *testing.T) {
-	topo := device.Grid(2, 2, 6)
-	for _, c := range []*circuit.Circuit{
-		workloads.QFT(12), workloads.BV(10), workloads.QAOA(12, 3),
-	} {
-		res, err := core.Compile(core.DefaultConfig(), c, topo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := DefaultOptions()
-		m := Run(res.Schedule, topo, opt)
-		tl := schedule.BuildTimeline(res.Schedule, opt.Params)
-		if err := tl.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(tl.Makespan-m.ExecutionTime) > 1e-6 {
-			t.Errorf("%s: timeline makespan %g != simulator %g", c.Name, tl.Makespan, m.ExecutionTime)
-		}
-		st := tl.Stats()
-		if st.MaxParallel < 1 {
-			t.Errorf("%s: no parallelism measured", c.Name)
-		}
-	}
-}
 
 // HardwareCircuit lowering must be unitarily equivalent to the source
 // circuit: inserted SWAPs relocate states, and the trailing placement

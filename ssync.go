@@ -481,9 +481,11 @@ type Timeline = schedule.Timeline
 // TimelineStats summarises utilisation and parallelism.
 type TimelineStats = schedule.TimelineStats
 
-// BuildTimeline assigns start/end times to every op of a schedule.
+// BuildTimeline assigns start/end times to every op of a schedule under
+// the simulator's clock: the same op durations and start rule Simulate
+// scores with.
 func BuildTimeline(s *Schedule, p NoiseParams) *Timeline {
-	return schedule.BuildTimeline(s, p)
+	return sim.Timeline(s, sim.Options{Params: p})
 }
 
 // Optimize applies semantics-preserving peephole simplifications
