@@ -65,7 +65,7 @@ func BenchmarkCompileQFT24G2x3(b *testing.B) {
 
 func BenchmarkCompileAdder32L4(b *testing.B) {
 	c := Adder(32)
-	topo := LinearDevice(4, 22)
+	topo := topology(b, "L-4", 22)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -118,7 +118,7 @@ func BenchmarkBatchCompile(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, topo := range []*Topology{StarDevice(4, 8), GridDevice(2, 2, 8)} {
+		for _, topo := range []*Topology{topology(b, "S-4", 8), GridDevice(2, 2, 8)} {
 			for _, comp := range []string{MuraliCompilerName, DaiCompilerName, SSyncCompilerName} {
 				reqs = append(reqs, engine.Request{Circuit: c, Topo: topo, Compiler: comp})
 			}

@@ -15,6 +15,8 @@ import (
 	"os"
 
 	"ssync"
+	"ssync/internal/mapping"
+	"ssync/internal/noise"
 )
 
 func main() {
@@ -66,7 +68,7 @@ func run(benchName, qasmFile, topoName string, capacity int, compiler, mapName, 
 	}
 
 	cfg := ssync.DefaultCompileConfig()
-	if cfg.Mapping.Strategy, err = parseMapping(mapName); err != nil {
+	if cfg.Mapping.Strategy, err = mapping.ParseStrategy(mapName); err != nil {
 		return err
 	}
 	resp := ssync.Do(context.Background(), ssync.CompileRequest{Circuit: c, Topo: topo, Compiler: compiler, Config: &cfg})
@@ -76,11 +78,9 @@ func run(benchName, qasmFile, topoName string, capacity int, compiler, mapName, 
 	res := resp.Result
 
 	opt := ssync.DefaultSimOptions()
-	model, err := parseModel(gateModel)
-	if err != nil {
+	if opt.Params.Model, err = noise.ParseGateModel(gateModel); err != nil {
 		return err
 	}
-	opt.Params.Model = model
 	m := ssync.Simulate(res.Schedule, topo, opt)
 
 	fmt.Printf("circuit:        %s (%d qubits, %d 2Q gates)\n",
@@ -111,30 +111,4 @@ func name(c *ssync.Circuit) string {
 		return c.Name
 	}
 	return "qasm input"
-}
-
-func parseMapping(s string) (ssync.MappingStrategy, error) {
-	switch s {
-	case "gathering":
-		return ssync.GatheringMapping, nil
-	case "even-divided":
-		return ssync.EvenDividedMapping, nil
-	case "sta":
-		return ssync.STAMapping, nil
-	}
-	return 0, fmt.Errorf("unknown mapping %q", s)
-}
-
-func parseModel(s string) (ssync.GateModel, error) {
-	switch s {
-	case "FM":
-		return ssync.FMGate, nil
-	case "PM":
-		return ssync.PMGate, nil
-	case "AM1":
-		return ssync.AM1Gate, nil
-	case "AM2":
-		return ssync.AM2Gate, nil
-	}
-	return 0, fmt.Errorf("unknown gate model %q", s)
 }

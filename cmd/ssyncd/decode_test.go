@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ssync/internal/cluster"
 	"ssync/internal/engine"
@@ -61,6 +62,40 @@ func TestReplicaAndRouterDecodeAlike(t *testing.T) {
 				t.Errorf("router key %x, replica key %s", k, got.Key)
 			}
 		})
+	}
+}
+
+// expandingQASMBody is a 95-byte /v2/compile body whose inline QASM
+// broadcasts three gates over a 2^20-qubit register: 3,145,728 gates if
+// the parser expanded it in full.
+const expandingQASMBody = `{"qasm":"OPENQASM 2.0;\nqreg q[1048576];\nh q;\nh q;\nh q;\n","topology":"G-2x3","capacity":17}`
+
+// TestExpandingQASMBodyRefusedFast: the router keys a body on its
+// request goroutine with no worker slot, and a replica parses it before
+// its cache probe. Neither may expand a few bytes into millions of
+// gates: the router gives up on the key within 100ms, and the replica
+// answers 400.
+func TestExpandingQASMBodyRefusedFast(t *testing.T) {
+	start := time.Now()
+	_, keyed := routerRequestKey(http.MethodPost, "/v2/compile", []byte(expandingQASMBody))
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("router key took %v, want under 100ms", took)
+	}
+	if keyed {
+		t.Error("router keyed a body whose QASM exceeds its gate budget")
+	}
+	ts := testServer(t)
+	resp, err := http.Post(ts.URL+"/v2/compile", "application/json", strings.NewReader(expandingQASMBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got compileResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(got.Error, "gate limit") {
+		t.Errorf("replica answered %d (%s), want 400 with the gate-limit error", resp.StatusCode, got.Error)
 	}
 }
 

@@ -512,8 +512,9 @@ func (s *server) jobTimeout(timeoutMs int) time.Duration {
 // Service limits on generator-built circuits. Generation cost is paid
 // before the per-job timeout starts, so these caps keep one hostile
 // request from building hundreds of millions of gates; the largest
-// Table 2 benchmark is 66 qubits. (Inline QASM is already bounded by
-// maxRequestBytes: gate count is limited by the program text.)
+// Table 2 benchmark is 66 qubits. (Inline QASM is bounded by
+// qasm.Parse's gate budget, which grows with the program text, so a
+// short body cannot broadcast or nest its way to millions of gates.)
 const (
 	// maxBenchmarkSize bounds one entry's problem size. Generation runs
 	// on the request goroutine, so the cap must keep a single build to

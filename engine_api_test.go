@@ -6,7 +6,7 @@ import (
 )
 
 // Tests of the public concurrent-compilation surface: NewEngine, Do,
-// CompileRequests and CompilePortfolio.
+// CompilePool and CompilePortfolio.
 
 func batchRequests(t testing.TB) []CompileRequest {
 	t.Helper()
@@ -26,9 +26,16 @@ func batchRequests(t testing.TB) []CompileRequest {
 	return reqs
 }
 
+// runOnDefault fans reqs across a pool over the process-wide engine,
+// the way a caller batches on the package-level API.
+func runOnDefault(reqs []CompileRequest) []CompileResponse {
+	pool := CompilePool{Engine: DefaultEngine()}
+	return pool.RunRequests(context.Background(), reqs)
+}
+
 func TestPublicCompileBatch(t *testing.T) {
 	reqs := batchRequests(t)
-	results := CompileRequests(context.Background(), reqs)
+	results := runOnDefault(reqs)
 	if len(results) != len(reqs) {
 		t.Fatalf("%d results for %d requests", len(results), len(reqs))
 	}
@@ -44,7 +51,7 @@ func TestPublicCompileBatch(t *testing.T) {
 		}
 	}
 	// The shared default engine serves a repeated batch from its cache.
-	for i, r := range CompileRequests(context.Background(), reqs) {
+	for i, r := range runOnDefault(reqs) {
 		if r.Err != nil || !r.CacheHit {
 			t.Errorf("%s: repeat err=%v hit=%v, want cache hit", reqs[i].Label, r.Err, r.CacheHit)
 		}
@@ -82,7 +89,7 @@ func TestPublicDoAndCompileRequests(t *testing.T) {
 	for _, name := range []string{MuraliCompilerName, DaiCompilerName, SSyncCompilerName, SSyncAnnealedCompilerName} {
 		reqs = append(reqs, CompileRequest{Label: name, Circuit: c, Topo: topo, Compiler: name})
 	}
-	for i, r := range CompileRequests(context.Background(), reqs) {
+	for i, r := range runOnDefault(reqs) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", reqs[i].Label, r.Err)
 		}
@@ -93,7 +100,7 @@ func TestPublicDoAndCompileRequests(t *testing.T) {
 			t.Errorf("%s: no schedule", reqs[i].Label)
 		}
 	}
-	// The package-level Do shares DefaultEngine with CompileRequests.
+	// The package-level Do shares DefaultEngine with the pool.
 	again := Do(context.Background(), reqs[0])
 	if again.Err != nil || !again.CacheHit {
 		t.Errorf("repeat Do: err=%v hit=%v, want cache hit", again.Err, again.CacheHit)

@@ -6,6 +6,7 @@ import (
 	"crypto/subtle"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -27,9 +28,6 @@ type Config struct {
 	// presented-but-wrong credential is still rejected — Optional never
 	// turns a bad key into anonymous access.
 	Optional bool
-	// Defaults fills limit fields a keys-file entry leaves unset. Zero
-	// fields of Defaults themselves mean unlimited.
-	Defaults Limits
 	// Anonymous bounds the shared anonymous principal. The zero value
 	// means unlimited — set it on any internet-facing deployment running
 	// with Optional.
@@ -218,7 +216,7 @@ func (a *Authenticator) load() (*keySet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("auth: stat keys file: %w", err)
 	}
-	entries, err := parseKeys(f, a.cfg.Defaults)
+	entries, err := parseKeys(f)
 	if err != nil {
 		return nil, fmt.Errorf("auth: %s: %w", a.cfg.KeysFile, err)
 	}
@@ -238,9 +236,8 @@ func (a *Authenticator) load() (*keySet, error) {
 // SHA-256 of the raw API key (produce it with `echo -n KEY | sha256sum`
 // or HashKey). Principal names are 1–64 characters of [A-Za-z0-9._-];
 // several keys may map to one principal name (key rotation), but their
-// limit options must agree. Limit fields left unset inherit defaults;
-// defaults' zero fields mean unlimited.
-func parseKeys(r interface{ Read([]byte) (int, error) }, defaults Limits) ([]keyEntry, error) {
+// limit options must agree. Limit fields left unset mean unlimited.
+func parseKeys(r interface{ Read([]byte) (int, error) }) ([]keyEntry, error) {
 	var out []keyEntry
 	seen := make(map[string]int)
 	byName := make(map[string]*Principal)
@@ -267,7 +264,7 @@ func parseKeys(r interface{ Read([]byte) (int, error) }, defaults Limits) ([]key
 		if name == AnonymousName {
 			return nil, fmt.Errorf("line %d: principal name %q is reserved", lineNo, AnonymousName)
 		}
-		lim := defaults
+		var lim Limits
 		for _, opt := range fields[2:] {
 			if err := parseLimitOption(&lim, opt); err != nil {
 				return nil, fmt.Errorf("line %d: %v", lineNo, err)
@@ -302,14 +299,14 @@ func parseLimitOption(lim *Limits, opt string) error {
 	}
 	switch k {
 	case "rate":
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
+		f, ok := parseAmount(v)
+		if !ok {
 			return fmt.Errorf("bad rate %q", v)
 		}
 		lim.RatePerSec = f
 	case "burst":
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
+		f, ok := parseAmount(v)
+		if !ok {
 			return fmt.Errorf("bad burst %q", v)
 		}
 		lim.Burst = f
@@ -329,6 +326,14 @@ func parseLimitOption(lim *Limits, opt string) error {
 		return fmt.Errorf("unknown option %q", k)
 	}
 	return nil
+}
+
+// parseAmount parses a rate or burst: a finite, non-negative number.
+// NaN would make a principal silently unlimited (or shed it forever) and
+// break the JSON rendering of the quota stats, as would ±Inf.
+func parseAmount(v string) (float64, bool) {
+	f, err := strconv.ParseFloat(v, 64)
+	return f, err == nil && f >= 0 && !math.IsInf(f, 1)
 }
 
 // validPrincipalName reports whether name is 1–64 characters of

@@ -25,8 +25,8 @@ func TestParseKeysFormat(t *testing.T) {
 	entries, err := parseKeys(strings.NewReader(`
 # comment, then a blank line
 
-`+HashKey("alpha-key")+`  alpha  rate=5 burst=2 inflight=3 max-priority=batch
-`+HashKey("beta-key")+"\tbeta\n"), Limits{})
+` + HashKey("alpha-key") + `  alpha  rate=5 burst=2 inflight=3 max-priority=batch
+` + HashKey("beta-key") + "\tbeta\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,28 +44,11 @@ func TestParseKeysFormat(t *testing.T) {
 	}
 }
 
-func TestParseKeysDefaultsFillUnsetFields(t *testing.T) {
-	def := Limits{RatePerSec: 10, MaxInFlight: 4}
-	entries, err := parseKeys(strings.NewReader(
-		HashKey("k1")+" plain\n"+HashKey("k2")+" tuned rate=1\n"), def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := entries[0].principal.Limits; got != def {
-		t.Fatalf("plain entry should inherit defaults, got %+v", got)
-	}
-	want := def
-	want.RatePerSec = 1
-	if got := entries[1].principal.Limits; got != want {
-		t.Fatalf("tuned entry should override rate only, got %+v", got)
-	}
-}
-
 func TestParseKeysSharedPrincipalAcrossKeys(t *testing.T) {
 	// Key rotation: two keys, one principal — and they must share one
 	// *Principal value so the quota enforcer sees one identity.
 	entries, err := parseKeys(strings.NewReader(
-		HashKey("old")+" svc rate=2\n"+HashKey("new")+" svc rate=2\n"), Limits{})
+		HashKey("old") + " svc rate=2\n" + HashKey("new") + " svc rate=2\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,28 +56,37 @@ func TestParseKeysSharedPrincipalAcrossKeys(t *testing.T) {
 		t.Fatal("keys for one principal name should share the Principal")
 	}
 	if _, err := parseKeys(strings.NewReader(
-		HashKey("old")+" svc rate=2\n"+HashKey("new")+" svc rate=3\n"), Limits{}); err == nil {
+		HashKey("old") + " svc rate=2\n" + HashKey("new") + " svc rate=3\n")); err == nil {
 		t.Fatal("conflicting limits for one principal should fail")
 	}
 }
 
+// badKeyLines are key files parseKeys must refuse, by reason.
+var badKeyLines = map[string]string{
+	"short hash":     "abcd alpha",
+	"non-hex hash":   strings.Repeat("zz", 32) + " alpha",
+	"missing name":   HashKey("k"),
+	"bad name":       HashKey("k") + " bad/name",
+	"oversized name": HashKey("k") + " " + strings.Repeat("a", 65),
+	"reserved name":  HashKey("k") + " " + AnonymousName,
+	"unknown option": HashKey("k") + " a color=red",
+	"bad rate":       HashKey("k") + " a rate=fast",
+	"negative rate":  HashKey("k") + " a rate=-1",
+	"NaN rate":       HashKey("k") + " a rate=NaN",
+	"infinite rate":  HashKey("k") + " a rate=Inf",
+	"overflow rate":  HashKey("k") + " a rate=1e400",
+	"NaN burst":      HashKey("k") + " a rate=1 burst=NaN",
+	"infinite burst": HashKey("k") + " a rate=1 burst=+Inf",
+	"negative burst": HashKey("k") + " a burst=-0.5",
+	"bad class":      HashKey("k") + " a max-priority=urgent",
+	"malformed opt":  HashKey("k") + " a rate",
+	"duplicate hash": HashKey("k") + " a\n" + HashKey("k") + " b",
+	"bad inflight":   HashKey("k") + " a inflight=-2",
+}
+
 func TestParseKeysRejects(t *testing.T) {
-	for name, line := range map[string]string{
-		"short hash":     "abcd alpha",
-		"non-hex hash":   strings.Repeat("zz", 32) + " alpha",
-		"missing name":   HashKey("k"),
-		"bad name":       HashKey("k") + " bad/name",
-		"oversized name": HashKey("k") + " " + strings.Repeat("a", 65),
-		"reserved name":  HashKey("k") + " " + AnonymousName,
-		"unknown option": HashKey("k") + " a color=red",
-		"bad rate":       HashKey("k") + " a rate=fast",
-		"negative rate":  HashKey("k") + " a rate=-1",
-		"bad class":      HashKey("k") + " a max-priority=urgent",
-		"malformed opt":  HashKey("k") + " a rate",
-		"duplicate hash": HashKey("k") + " a\n" + HashKey("k") + " b",
-		"bad inflight":   HashKey("k") + " a inflight=-2",
-	} {
-		if _, err := parseKeys(strings.NewReader(line), Limits{}); err == nil {
+	for name, line := range badKeyLines {
+		if _, err := parseKeys(strings.NewReader(line)); err == nil {
 			t.Errorf("%s: parse should fail: %q", name, line)
 		}
 	}

@@ -165,18 +165,6 @@ func (c *Circuit) InteractionCounts() map[[2]int]int {
 	return m
 }
 
-// TwoQubitGates returns the (index, gate) sequence of entangling gates in
-// program order.
-func (c *Circuit) TwoQubitGates() []Gate {
-	var out []Gate
-	for _, g := range c.Gates {
-		if g.IsTwoQubit() {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
 // DecomposeToBasis rewrites the circuit into the compiler's native basis:
 // single-qubit gates + {cx, swap}. cz/cy/ch/controlled-rotations, rxx/ryy/
 // rzz/ms and ccx/cswap are expanded with standard textbook decompositions;

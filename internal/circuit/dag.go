@@ -125,9 +125,6 @@ func forEachClassicalDep(c *Circuit, add func(from, to int)) {
 // Gate returns the gate for node id.
 func (d *DAG) Gate(id int) Gate { return d.circ.Gates[id] }
 
-// Circuit returns the underlying circuit.
-func (d *DAG) Circuit() *Circuit { return d.circ }
-
 // Frontier returns the ids of currently executable (dependency-free) gates
 // in ascending program order. The returned slice is owned by the DAG; do not
 // mutate it.

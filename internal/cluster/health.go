@@ -62,7 +62,7 @@ type statsProbe struct {
 // and parsing → Up or Shedding by queue pressure; anything else is a
 // failed probe.
 func (r *Router) probeShard(ctx context.Context, s *shard) (int32, error) {
-	ctx, cancel := context.WithTimeout(ctx, r.healthTimeout)
+	ctx, cancel := context.WithTimeout(ctx, healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.url+"/v2/stats", nil)
 	if err != nil {
@@ -85,7 +85,7 @@ func (r *Router) probeShard(ctx context.Context, s *shard) (int32, error) {
 			// A class whose queue is at (or nearing) its admission bound
 			// is about to shed with 429s; route new home traffic to the
 			// second choice instead of feeding the queue.
-			if c.QueueLimit > 0 && float64(c.Depth) >= r.spillDepthFraction*float64(c.QueueLimit) {
+			if c.QueueLimit > 0 && float64(c.Depth) >= spillDepthFraction*float64(c.QueueLimit) {
 				return StateShedding, nil
 			}
 		}

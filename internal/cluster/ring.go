@@ -17,10 +17,10 @@ import (
 	"sort"
 )
 
-// defaultVNodes is the virtual-node count per replica on the hash ring:
+// vnodes is the virtual-node count per replica on the hash ring:
 // enough that removing one replica of three moves only its own ~1/3 of
 // the key space, split roughly evenly across survivors.
-const defaultVNodes = 64
+const vnodes = 64
 
 // ring is a consistent-hash ring over shard indexes. Immutable after
 // construction — shard liveness is the Router's concern, the ring only
@@ -38,10 +38,7 @@ type ringPoint struct {
 // newRing places vnodes points per shard, each at the hash of the
 // shard's stable name (its URL) plus the vnode ordinal — so ring
 // placement is identical across router restarts and across routers.
-func newRing(names []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
+func newRing(names []string) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(names)*vnodes), shards: len(names)}
 	for i, name := range names {
 		for v := 0; v < vnodes; v++ {

@@ -15,8 +15,8 @@ func testKey(i int) Key {
 // that lets any router (or a restarted one) agree on key placement.
 func TestRingDeterministic(t *testing.T) {
 	names := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r1 := newRing(names, 0)
-	r2 := newRing(names, 0)
+	r1 := newRing(names)
+	r2 := newRing(names)
 	for i := 0; i < 200; i++ {
 		k := testKey(i)
 		o1, o2 := r1.order(k), r2.order(k)
@@ -34,7 +34,7 @@ func TestRingDeterministic(t *testing.T) {
 // TestRingOrderCoversAllShards: every shard appears exactly once in a
 // key's preference order.
 func TestRingOrderCoversAllShards(t *testing.T) {
-	r := newRing([]string{"a", "b", "c", "d"}, 16)
+	r := newRing([]string{"a", "b", "c", "d"})
 	for i := 0; i < 100; i++ {
 		seen := map[int]bool{}
 		for _, s := range r.order(testKey(i)) {
@@ -49,12 +49,12 @@ func TestRingOrderCoversAllShards(t *testing.T) {
 	}
 }
 
-// TestRingBalance: with default vnodes, home-shard assignment over many
+// TestRingBalance: with the ring's vnodes, home-shard assignment over many
 // keys is roughly uniform — no shard owns more than twice its fair
 // share.
 func TestRingBalance(t *testing.T) {
 	names := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r := newRing(names, 0)
+	r := newRing(names)
 	const keys = 3000
 	counts := make([]int, len(names))
 	for i := 0; i < keys; i++ {
@@ -72,9 +72,9 @@ func TestRingBalance(t *testing.T) {
 // ring leaves every other key's home unchanged — only the lost shard's
 // keys move, and they move to what was their second choice.
 func TestRingStableUnderShardLoss(t *testing.T) {
-	full := newRing([]string{"http://a:1", "http://b:1", "http://c:1"}, 0)
+	full := newRing([]string{"http://a:1", "http://b:1", "http://c:1"})
 	// Same names minus the last; surviving indexes align (0→a, 1→b).
-	reduced := newRing([]string{"http://a:1", "http://b:1"}, 0)
+	reduced := newRing([]string{"http://a:1", "http://b:1"})
 	moved := 0
 	for i := 0; i < 1000; i++ {
 		k := testKey(i)

@@ -45,20 +45,11 @@ type Options struct {
 	// families (per-shard requests/spills/errors/state, proxy latency).
 	Registry *obs.Registry
 	// HealthInterval is the per-shard /v2/stats poll cadence (default
-	// 1s); HealthTimeout bounds one probe (default 2s).
+	// 1s); healthTimeout bounds one probe.
 	HealthInterval time.Duration
-	HealthTimeout  time.Duration
 	// DownAfter is the consecutive probe failures that mark a shard down
 	// (default 2).
 	DownAfter int
-	// SpillDepthFraction: a replica whose admission-queue depth for any
-	// class reaches this fraction of the class bound counts as shedding,
-	// and new home traffic spills to its second-choice shard (default
-	// 0.8).
-	SpillDepthFraction float64
-	// VNodes is the virtual-node count per shard on the hash ring
-	// (default 64).
-	VNodes int
 	// MaxBodyBytes bounds a proxied request body (default 8 MiB,
 	// matching the replicas' own bound) and a buffered response body
 	// (at 4× that).
@@ -85,11 +76,9 @@ type Router struct {
 	keyFn  KeyFunc
 	rec    *obs.Recorder
 
-	healthInterval     time.Duration
-	healthTimeout      time.Duration
-	downAfter          int
-	spillDepthFraction float64
-	maxBody            int64
+	healthInterval time.Duration
+	downAfter      int
+	maxBody        int64
 
 	metrics *routerMetrics // nil when no registry was attached
 
@@ -104,6 +93,15 @@ type Router struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 }
+
+const (
+	// healthTimeout bounds one /v2/stats probe.
+	healthTimeout = 2 * time.Second
+	// spillDepthFraction: a replica whose admission-queue depth for any
+	// class reaches this fraction of the class bound counts as shedding,
+	// and new home traffic spills to its second-choice shard.
+	spillDepthFraction = 0.8
+)
 
 // keyMemoMax bounds the router's body-hash → key memo; at 32+32 bytes a
 // full memo is ~256 KiB. Overflow drops the whole map — the memo is a
@@ -126,17 +124,15 @@ func New(opt Options) (*Router, error) {
 		names[i] = u
 	}
 	r := &Router{
-		ring:               newRing(names, opt.VNodes),
-		client:             &http.Client{Transport: opt.Transport},
-		log:                opt.Logger,
-		keyFn:              opt.KeyFn,
-		rec:                opt.Recorder,
-		healthInterval:     opt.HealthInterval,
-		healthTimeout:      opt.HealthTimeout,
-		downAfter:          opt.DownAfter,
-		spillDepthFraction: opt.SpillDepthFraction,
-		keyMemo:            make(map[Key]Key),
-		maxBody:            opt.MaxBodyBytes,
+		ring:           newRing(names),
+		client:         &http.Client{Transport: opt.Transport},
+		log:            opt.Logger,
+		keyFn:          opt.KeyFn,
+		rec:            opt.Recorder,
+		healthInterval: opt.HealthInterval,
+		downAfter:      opt.DownAfter,
+		keyMemo:        make(map[Key]Key),
+		maxBody:        opt.MaxBodyBytes,
 	}
 	if r.log == nil {
 		r.log = slog.New(slog.DiscardHandler)
@@ -144,14 +140,8 @@ func New(opt Options) (*Router, error) {
 	if r.healthInterval <= 0 {
 		r.healthInterval = time.Second
 	}
-	if r.healthTimeout <= 0 {
-		r.healthTimeout = 2 * time.Second
-	}
 	if r.downAfter <= 0 {
 		r.downAfter = 2
-	}
-	if r.spillDepthFraction <= 0 {
-		r.spillDepthFraction = 0.8
 	}
 	if r.maxBody <= 0 {
 		r.maxBody = 8 << 20

@@ -29,7 +29,7 @@ type Result struct {
 	// blocked gate's qubits together. It fires on the paper benchmarks at
 	// default settings: 2 times over the quick Figs. 8–10 grid's ssync
 	// cells and 421 times over the full grid, where it is non-zero on 24
-	// of 27 cells. ROADMAP item 1 tracks reporting and reducing it.
+	// of 27 cells. ROADMAP item 6 tracks reporting and reducing it.
 	Iterations int
 	Fallbacks  int
 	// PassTimings itemises a pipeline compilation stage by stage, in

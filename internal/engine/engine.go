@@ -81,8 +81,8 @@ type Request struct {
 	// consequence: a follower that coalesces onto an *identical* request
 	// whose lower-class leader is still queued for a slot advances at
 	// the leader's class weight, not its own (bounded by the follower's
-	// own deadline; priority donation to a queued leader is future
-	// work — see ROADMAP). Distinct requests never share this fate.
+	// own deadline; a queued leader does not inherit a follower's
+	// priority). Distinct requests never share this fate.
 	Priority sched.Class
 	// Deadline, when non-zero, is the absolute completion deadline. It
 	// folds into the request context alongside Timeout (whichever expires
@@ -162,9 +162,9 @@ type Stats struct {
 	// in the same Stats call as every other section; nil on unbounded
 	// engines (Options.Workers <= 0), which have no scheduler.
 	Sched *sched.Stats
-	// Sim is the state-vector simulator's process-wide snapshot: gate
-	// applications by execution mode and the shared verification-
-	// reference cache behind verify-statevec.
+	// Sim is the state-vector simulator's process-wide snapshot: the
+	// gate-application count and the shared verification-reference
+	// cache behind verify-statevec.
 	Sim sim.Stats
 }
 
@@ -283,13 +283,7 @@ type Engine struct {
 func Open(opt Options) (*Engine, error) {
 	e := &Engine{passStats: make(map[string]PassStats)}
 	if opt.Workers > 0 {
-		cc := sched.ClassConfig{QueueLimit: opt.QueueLimit}
-		e.sched = sched.New(sched.Config{
-			Slots: opt.Workers,
-			Class: map[sched.Class]sched.ClassConfig{
-				sched.Interactive: cc, sched.Batch: cc, sched.Background: cc,
-			},
-		})
+		e.sched = sched.New(sched.Config{Slots: opt.Workers, QueueLimit: opt.QueueLimit})
 	}
 	if opt.CacheSize < 0 {
 		return e, nil // cacheless: no content addressing, stages or disk

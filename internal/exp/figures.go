@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ssync/internal/core"
@@ -196,17 +195,4 @@ func Fig12(opt Options) (string, []Fig12Row, error) {
 			r.App, r.Size, r.Mapping, r.Shuttles, r.Swaps, r.ExecTime, r.Success)
 	}
 	return b.String(), rows, nil
-}
-
-// SortCellsByApp orders cells deterministically for reporting.
-func SortCellsByApp(cells []Cell) {
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].App != cells[j].App {
-			return cells[i].App < cells[j].App
-		}
-		if cells[i].Topo != cells[j].Topo {
-			return cells[i].Topo < cells[j].Topo
-		}
-		return cells[i].Compiler < cells[j].Compiler
-	})
 }

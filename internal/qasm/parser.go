@@ -49,6 +49,8 @@ type parser struct {
 	// gates the circuit IR understands natively; applications of these are
 	// emitted directly instead of macro-expanded.
 	native map[string]bool
+	// maxGates is this program's gate budget (gateBudget).
+	maxGates int
 }
 
 // Parse parses QASM source text and returns the flattened circuit. Qubits
@@ -59,10 +61,11 @@ func Parse(src string) (*circuit.Circuit, error) {
 		return nil, err
 	}
 	p := &parser{
-		toks:  toks,
-		qregs: map[string]*reg{},
-		cregs: map[string]*reg{},
-		gates: map[string]*gateDef{},
+		toks:     toks,
+		qregs:    map[string]*reg{},
+		cregs:    map[string]*reg{},
+		gates:    map[string]*gateDef{},
+		maxGates: gateBudget(len(src)),
 		native: map[string]bool{
 			"id": true, "x": true, "y": true, "z": true, "h": true,
 			"s": true, "sdg": true, "t": true, "tdg": true,
@@ -627,13 +630,29 @@ const (
 	maxParsedGates    = 1 << 22
 )
 
+// Broadcasts and nested gate definitions expand a few bytes into
+// millions of gates: `qreg q[1048576]; h q;` is 1,048,576 gates from 21
+// bytes, and expanding them costs up to about a microsecond each. So the
+// gate budget also grows with the source, at gatesPerSourceByte gates
+// per byte past a floor of minGateBudget, which keeps a refusal in the
+// low milliseconds. Real programs expand to well under one gate per byte.
+const (
+	minGateBudget      = 1 << 12
+	gatesPerSourceByte = 16
+)
+
+// gateBudget is the most gates an n-byte program may expand to.
+func gateBudget(n int) int {
+	return min(maxParsedGates, max(minGateBudget, gatesPerSourceByte*n))
+}
+
 // appendGate is circuit.Append behind the program-size guard; it stamps
 // any pending `if` condition onto the gate (macro-expanded bodies
 // included: the classical register cannot change mid-expansion, so
 // conditioning every expanded piece is exact).
 func (p *parser) appendGate(g circuit.Gate) error {
-	if len(p.circ.Gates) >= maxParsedGates {
-		return fmt.Errorf("qasm: program exceeds the %d-gate limit", maxParsedGates)
+	if len(p.circ.Gates) >= p.maxGates {
+		return fmt.Errorf("qasm: program exceeds the %d-gate limit", p.maxGates)
 	}
 	// Barriers are scheduling fences, not quantum operations: a condition
 	// neither strengthens nor weakens them, so they stay unconditioned

@@ -90,11 +90,6 @@ func (e *Emitter) paramsCopy(ps []float64) []float64 {
 	return s
 }
 
-// New builds an emitter over placement p, writing ops into a fresh schedule.
-func New(p *device.Placement) *Emitter {
-	return &Emitter{Topo: p.Topology(), P: p, S: schedule.New(p.NumQubits())}
-}
-
 // EmitSwap interchanges two ions in one trap and records the SWAP gate.
 func (e *Emitter) EmitSwap(tr, i, j int) {
 	a, b := e.P.At(tr, i), e.P.At(tr, j)

@@ -37,10 +37,7 @@ func TestWeakerAndRank(t *testing.T) {
 }
 
 func TestPerPrincipalAccounting(t *testing.T) {
-	s := New(Config{Slots: 1, Class: map[Class]ClassConfig{
-		Interactive: {QueueLimit: -1},
-		Batch:       {QueueLimit: 1},
-	}})
+	s := New(Config{Slots: 1, QueueLimit: 1})
 	actx := obs.WithPrincipalName(context.Background(), "alice")
 	bctx := obs.WithPrincipalName(context.Background(), "bob")
 

@@ -101,36 +101,26 @@ func (c Class) index() (int, bool) {
 	return 0, false
 }
 
-// ClassConfig tunes one priority class.
-type ClassConfig struct {
-	// Weight is the class's share of slot handoffs while other classes
-	// are also queued (smooth weighted round-robin); <= 0 selects the
-	// class's default weight.
-	Weight int
-	// QueueLimit bounds the class's wait queue: arrivals beyond it are
-	// shed with *QueueFullError. 0 selects DefaultQueueLimit; negative
-	// means unbounded (load shedding by deadline only).
-	QueueLimit int
-}
-
 // Config configures a Scheduler.
 type Config struct {
 	// Slots is the number of worker slots — the maximum number of
 	// concurrently held Acquires. Must be positive.
 	Slots int
-	// Class overrides per-class weights and queue bounds; classes absent
-	// from the map keep their defaults.
-	Class map[Class]ClassConfig
+	// QueueLimit bounds each class's wait queue: arrivals beyond it are
+	// shed with *QueueFullError. 0 selects DefaultQueueLimit; negative
+	// means unbounded (load shedding by deadline only).
+	QueueLimit int
 }
 
-// Default per-class weights: a queued interactive request wins ~4 slot
-// handoffs for every batch one and ~16 for every background one, which
-// keeps interactive latency flat under a saturating flood while the
-// flood still drains at a bounded rate. Each weight deliberately
-// exceeds the sum of all lower-class weights — that dominance (together
-// with handoffLocked zeroing drained classes' credits) is what makes a
-// fresh higher-class arrival win the very next handoff no matter what
-// credit state the flood has accumulated.
+// Per-class weights, each class's share of slot handoffs while other
+// classes are also queued (smooth weighted round-robin): a queued
+// interactive request wins ~4 slot handoffs for every batch one and ~16
+// for every background one, which keeps interactive latency flat under
+// a saturating flood while the flood still drains at a bounded rate.
+// Each weight deliberately exceeds the sum of all lower-class weights —
+// that dominance (together with handoffLocked zeroing drained classes'
+// credits) is what makes a fresh higher-class arrival win the very next
+// handoff no matter what credit state the flood has accumulated.
 const (
 	DefaultInteractiveWeight = 16
 	DefaultBatchWeight       = 4
@@ -138,10 +128,10 @@ const (
 )
 
 // DefaultQueueLimit is the per-class queue bound used when
-// ClassConfig.QueueLimit is zero.
+// Config.QueueLimit is zero.
 const DefaultQueueLimit = 256
 
-// classWeights holds the default weights index-aligned with Classes.
+// classWeights holds the weights index-aligned with Classes.
 var classWeights = [NumClasses]int{
 	DefaultInteractiveWeight, DefaultBatchWeight, DefaultBackgroundWeight,
 }
@@ -161,7 +151,6 @@ type waiter struct {
 // classState is one class's queue, WRR credit and counters; guarded by
 // the scheduler's mutex.
 type classState struct {
-	cfg    ClassConfig
 	queue  []*waiter
 	credit int
 
@@ -200,6 +189,7 @@ const overflowPrincipal = "overflow"
 type Scheduler struct {
 	mu         sync.Mutex
 	slots      int
+	queueLimit int // per class; negative: unbounded
 	busy       int
 	classes    [NumClasses]classState
 	principals map[string]*principalCounters
@@ -218,23 +208,14 @@ func New(cfg Config) *Scheduler {
 	}
 	s := &Scheduler{
 		slots:      cfg.Slots,
+		queueLimit: cfg.QueueLimit,
 		principals: make(map[string]*principalCounters),
 	}
-	for i := range s.classes {
-		cc := cfg.Class[Classes[i]]
-		if cc.Weight <= 0 {
-			cc.Weight = classWeights[i]
-		}
-		if cc.QueueLimit == 0 {
-			cc.QueueLimit = DefaultQueueLimit
-		}
-		s.classes[i].cfg = cc
+	if s.queueLimit == 0 {
+		s.queueLimit = DefaultQueueLimit
 	}
 	return s
 }
-
-// Slots returns the scheduler's worker-slot budget.
-func (s *Scheduler) Slots() int { return s.slots }
 
 // Acquire obtains one worker slot for a request of the given class,
 // waiting in the class's queue when all slots are busy. It returns a
@@ -273,10 +254,10 @@ func (s *Scheduler) Acquire(ctx context.Context, class Class) (release func(), e
 	// retry hint estimates one same-class handoff — when queue room
 	// next opens — not a full drain, so well-behaved clients honouring
 	// Retry-After refill the queue instead of leaving slots idle.
-	if c.cfg.QueueLimit >= 0 && len(c.queue) >= c.cfg.QueueLimit {
+	if s.queueLimit >= 0 && len(c.queue) >= s.queueLimit {
 		c.shedQueueFull++
 		s.shedPrincipalLocked(principal)
-		err := &QueueFullError{Class: Classes[idx], Limit: c.cfg.QueueLimit, Retry: s.waitLocked(idx, 1)}
+		err := &QueueFullError{Class: Classes[idx], Limit: s.queueLimit, Retry: s.waitLocked(idx, 1)}
 		s.mu.Unlock()
 		obs.Logger(ctx).Debug("sched: shed, queue full",
 			"class", string(Classes[idx]), "limit", err.Limit, "retry", err.Retry)
@@ -410,8 +391,8 @@ func (s *Scheduler) handoffLocked() {
 			c.credit = 0
 			continue
 		}
-		c.credit += c.cfg.Weight
-		total += c.cfg.Weight
+		c.credit += classWeights[i]
+		total += classWeights[i]
 		if best < 0 || c.credit > s.classes[best].credit {
 			best = i
 		}
@@ -456,9 +437,7 @@ func (s *Scheduler) waitLocked(idx, n int) time.Duration {
 	if s.avgService <= 0 {
 		return 0
 	}
-	c := &s.classes[idx]
 	ahead := n
-	w := c.cfg.Weight
 	for i := range s.classes {
 		if i == idx {
 			continue
@@ -471,7 +450,7 @@ func (s *Scheduler) waitLocked(idx, n int) time.Duration {
 		// optimistic estimate merely queues a borderline request (which
 		// then fails by its own deadline) where a pessimistic one would
 		// spuriously shed it with 503.
-		share := ahead * o.cfg.Weight / w
+		share := ahead * classWeights[i] / classWeights[idx]
 		if share > len(o.queue) {
 			share = len(o.queue)
 		}

@@ -240,7 +240,7 @@ func TestFreshArrivalWinsDespiteBankedCredits(t *testing.T) {
 }
 
 func TestQueueFullShedding(t *testing.T) {
-	s := New(Config{Slots: 1, Class: map[Class]ClassConfig{Batch: {QueueLimit: 2}}})
+	s := New(Config{Slots: 1, QueueLimit: 2})
 	relHold, err := s.Acquire(context.Background(), Batch)
 	if err != nil {
 		t.Fatal(err)
@@ -403,9 +403,7 @@ func TestCancelWhileQueuedFreesTheQueueSlot(t *testing.T) {
 // slot accounting converged: no leaked or phantom slots. Run with
 // -race; the cancellation/handoff race is the point.
 func TestAcquireStress(t *testing.T) {
-	s := New(Config{Slots: 4, Class: map[Class]ClassConfig{
-		Interactive: {QueueLimit: 8}, Batch: {QueueLimit: 8}, Background: {QueueLimit: 8},
-	}})
+	s := New(Config{Slots: 4, QueueLimit: 8})
 	classes := []Class{Interactive, Batch, Background}
 	var wg sync.WaitGroup
 	for g := 0; g < 32; g++ {

@@ -23,7 +23,7 @@ type PrincipalStats struct {
 type ClassStats struct {
 	// Class names the priority class.
 	Class Class
-	// Weight is the class's configured slot-handoff weight.
+	// Weight is the class's slot-handoff weight.
 	Weight int
 	// QueueLimit is the class's configured queue bound (negative:
 	// unbounded).
@@ -97,8 +97,8 @@ func (s *Scheduler) Stats() Stats {
 		out.Queued += len(c.queue)
 		out.Classes[i] = ClassStats{
 			Class:         Classes[i],
-			Weight:        c.cfg.Weight,
-			QueueLimit:    c.cfg.QueueLimit,
+			Weight:        classWeights[i],
+			QueueLimit:    s.queueLimit,
 			Depth:         len(c.queue),
 			Admitted:      c.admitted,
 			ShedQueueFull: c.shedQueueFull,

@@ -54,9 +54,6 @@ func NewReference(src *circuit.Circuit, seed int64) (*Reference, error) {
 	return &Reference{input: input, output: output}, nil
 }
 
-// NumQubits returns the reference's qubit count.
-func (r *Reference) NumQubits() int { return r.input.n }
-
 // bytes is the resident amplitude storage, for cache accounting.
 func (r *Reference) bytes() int64 {
 	return int64(len(r.input.amp)+len(r.output.amp)) * 16

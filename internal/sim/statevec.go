@@ -41,9 +41,6 @@ func NewState(n int) (*State, error) {
 	return s, nil
 }
 
-// NumQubits returns the qubit count.
-func (s *State) NumQubits() int { return s.n }
-
 // Amplitude returns amplitude i.
 func (s *State) Amplitude(i int) complex128 { return s.amp[i] }
 

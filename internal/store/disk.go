@@ -157,9 +157,6 @@ func openDisk(dir string, maxBytes int64, shared bool) (*Disk, error) {
 	return d, nil
 }
 
-// Dir returns the tier's root directory.
-func (d *Disk) Dir() string { return d.dir }
-
 // keyFromName parses "<64 hex chars>.blob" back into a key.
 func keyFromName(name string) (Key, bool) {
 	var k Key
@@ -312,13 +309,6 @@ func (d *Disk) evictLocked() {
 		delete(d.index, e.key)
 		d.evictions++
 	}
-}
-
-// Len returns the current blob count.
-func (d *Disk) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.index)
 }
 
 // Stats snapshots the tier counters.

@@ -30,7 +30,6 @@ package ssync
 
 import (
 	"context"
-	"log/slog"
 	"sync"
 	"time"
 
@@ -42,7 +41,6 @@ import (
 	"ssync/internal/exp"
 	"ssync/internal/mapping"
 	"ssync/internal/noise"
-	"ssync/internal/obs"
 	"ssync/internal/pass"
 	"ssync/internal/qasm"
 	"ssync/internal/sched"
@@ -60,14 +58,6 @@ type Circuit = circuit.Circuit
 // Gate is one quantum instruction.
 type Gate = circuit.Gate
 
-// NewCircuit returns an empty circuit over n qubits.
-func NewCircuit(n int) *Circuit { return circuit.NewCircuit(n) }
-
-// NewGate constructs a gate from its mnemonic, qubits and parameters.
-func NewGate(name string, qubits []int, params ...float64) Gate {
-	return circuit.New(name, qubits, params...)
-}
-
 // GateCondition is the classical control of an OpenQASM 2.0
 // `if (creg==n) gate;` statement, attached to a Gate via its Cond field.
 type GateCondition = circuit.Condition
@@ -83,14 +73,8 @@ func WriteQASM(c *Circuit) string { return qasm.Write(c) }
 // Adder builds the Cuccaro ripple-carry adder on bits-bit operands.
 func Adder(bits int) *Circuit { return workloads.Adder(bits) }
 
-// BV builds Bernstein-Vazirani over n data qubits plus one ancilla.
-func BV(n int) *Circuit { return workloads.BV(n) }
-
 // QAOA builds a p-layer QAOA ansatz on the n-vertex path graph.
 func QAOA(n, p int) *Circuit { return workloads.QAOA(n, p) }
-
-// ALT builds the alternating layered ansatz.
-func ALT(n, layers int) *Circuit { return workloads.ALT(n, layers) }
 
 // QFT builds the n-qubit quantum Fourier transform.
 func QFT(n int) *Circuit { return workloads.QFT(n) }
@@ -115,14 +99,8 @@ type Segment = device.Segment
 // Placement is the mutable ion/slot assignment on a device.
 type Placement = device.Placement
 
-// LinearDevice builds an L-series device (n traps in a row).
-func LinearDevice(n, capacity int) *Topology { return device.Linear(n, capacity) }
-
 // GridDevice builds a G-series device (rows × cols traps, junction-routed).
 func GridDevice(rows, cols, capacity int) *Topology { return device.Grid(rows, cols, capacity) }
-
-// StarDevice builds an S-series fully-connected device.
-func StarDevice(n, capacity int) *Topology { return device.Star(n, capacity) }
 
 // TopologyByName builds one of the paper's named topologies ("L-6",
 // "G-2x3", "S-4", ...).
@@ -171,11 +149,6 @@ const (
 
 // DefaultCompileConfig returns the paper's benchmark configuration.
 func DefaultCompileConfig() CompileConfig { return core.DefaultConfig() }
-
-// InitialMapping computes an initial placement without compiling.
-func InitialMapping(cfg MappingConfig, c *Circuit, topo *Topology) (*Placement, error) {
-	return mapping.Initial(cfg, c, topo)
-}
 
 // ---- simulation ----
 
@@ -260,25 +233,14 @@ type CompileResponse = engine.Response
 // for one answers the other.
 type CompileKey = engine.Key
 
-// RequestKey computes a request's stable content address (the "v4" key
-// the engine caches and coalesces under, and the cluster router shards
-// by). It fails only when the request itself is unresolvable — an
-// unknown compiler name or a malformed pipeline. Priority, Deadline,
-// Timeout and Label never enter the key: they select when and how a
-// request runs, not what it computes.
-func RequestKey(req CompileRequest) (CompileKey, error) { return engine.RequestKey(req) }
-
-// Built-in compiler names, each a canned pass pipeline (Compilers lists
-// them; a new strategy is a pipeline of registered passes, RegisterPass).
+// Built-in compiler names, each a canned pass pipeline (a new strategy
+// is a pipeline of registered passes, RegisterPass).
 const (
 	MuraliCompilerName        = engine.CompilerMurali
 	DaiCompilerName           = engine.CompilerDai
 	SSyncCompilerName         = engine.CompilerSSync
 	SSyncAnnealedCompilerName = engine.CompilerSSyncAnnealed
 )
-
-// Compilers returns the built-in compiler names, sorted.
-func Compilers() []string { return engine.Compilers() }
 
 // Do handles one CompileRequest on the process-wide DefaultEngine:
 // pipeline dispatch, content-addressed result reuse, and single-flight
@@ -308,10 +270,6 @@ const (
 	BatchPriority       = sched.Batch
 	BackgroundPriority  = sched.Background
 )
-
-// ParsePriority resolves a priority class name ("" means interactive),
-// rejecting unknown names.
-func ParsePriority(s string) (Priority, error) { return sched.ParseClass(s) }
 
 // ErrQueueFull is the sentinel under queue-full load-shedding errors: a
 // request's class queue was at its bound on arrival, so the request was
@@ -445,19 +403,11 @@ var (
 )
 
 // DefaultEngine returns the lazily-created process-wide engine used by
-// Do, CompileRequests and CompilePortfolio.
+// Do and CompilePortfolio. Batches run on it through
+// CompilePool{Engine: DefaultEngine()}.
 func DefaultEngine() *Engine {
 	defaultEngineOnce.Do(func() { defaultEngine = engine.New(engine.Options{}) })
 	return defaultEngine
-}
-
-// CompileRequests fans requests across GOMAXPROCS workers of the
-// process-wide engine, returning responses index-aligned with the input.
-// Repeated identical requests are served from the shared result cache,
-// and concurrent identical requests coalesce into one compilation.
-func CompileRequests(ctx context.Context, reqs []CompileRequest) []CompileResponse {
-	pool := engine.Pool{Engine: DefaultEngine()}
-	return pool.RunRequests(ctx, reqs)
 }
 
 // CompilePortfolio races several strategies for one circuit concurrently
@@ -515,13 +465,6 @@ type AnnealConfig = mapping.AnnealConfig
 // every Table 2 workload.
 func DefaultAnnealConfig() AnnealConfig { return mapping.DefaultAnnealConfig() }
 
-// AnnealedMapping computes an initial placement with the simulated-
-// annealing trap assignment (an extension beyond the paper's three
-// first-level strategies) plus the standard second-level arrangement.
-func AnnealedMapping(cfg MappingConfig, ann AnnealConfig, c *Circuit, topo *Topology) (*Placement, error) {
-	return mapping.InitialAnnealed(cfg, ann, c, topo)
-}
-
 // ---- access control & quotas ----
 
 // Principal is an authenticated caller identity: a stable name plus its
@@ -538,8 +481,8 @@ type AuthLimits = auth.Limits
 
 // AuthConfig configures an APIKeyAuthenticator: the hashed-keys file
 // (hot-reloaded on change), whether credential-less callers are
-// admitted as the shared anonymous principal, and the default limits
-// applied to key lines that set none.
+// admitted as the shared anonymous principal, and that principal's
+// limits. Limits a key line leaves unset are unlimited.
 type AuthConfig = auth.Config
 
 // APIKeyAuthenticator resolves API keys to Principals from a
@@ -573,21 +516,11 @@ func NewQuotaEnforcer() *QuotaEnforcer { return auth.NewEnforcer() }
 // disk.
 func HashAPIKey(key string) string { return auth.HashKey(key) }
 
-// AnonymousPrincipal is the shared principal name for credential-less
-// callers admitted under AuthConfig.Optional.
-const AnonymousPrincipal = auth.AnonymousName
-
 // WithPrincipal returns ctx carrying the authenticated principal; the
 // engine's admission path clamps request priority to the principal's
 // cap and accounts scheduling per principal name.
 func WithPrincipal(ctx context.Context, p *Principal) context.Context {
 	return auth.WithPrincipal(ctx, p)
-}
-
-// PrincipalFrom returns the principal carried by ctx, or ok=false for
-// an unauthenticated context.
-func PrincipalFrom(ctx context.Context) (*Principal, bool) {
-	return auth.PrincipalFrom(ctx)
 }
 
 // ErrUnauthenticated is the sentinel under authentication failures on a
@@ -609,73 +542,3 @@ var ErrOverQuota = auth.ErrOverQuota
 // chain (ok=false for other errors) — the same estimate ssyncd turns
 // into Retry-After headers on auth 429s.
 func QuotaRetryAfter(err error) (time.Duration, bool) { return auth.RetryAfter(err) }
-
-// ---- observability ----
-
-// TraceSpan is one per-request trace event (queue wait, admission, a
-// pass execution, a cache probe): a name plus its start offset and
-// duration relative to the trace origin, with span/parent IDs placing
-// it in the request's span tree.
-type TraceSpan = obs.Span
-
-// RequestTrace collects TraceSpans for one request under a shared
-// 32-hex trace ID. Attach one to a context with WithTrace and the
-// engine records span events into it; read them back with its Spans
-// method once the request is done.
-type RequestTrace = obs.Trace
-
-// TraceRecorder is the bounded in-memory flight recorder behind
-// ssyncd's GET /v2/traces: completed traces are tail-sampled into
-// error / slowest-N / per-route-sample retention classes.
-type TraceRecorder = obs.Recorder
-
-// TraceRecorderOptions sizes a TraceRecorder.
-type TraceRecorderOptions = obs.RecorderOptions
-
-// NewTraceRecorder builds a flight recorder; zero options take the
-// defaults (512 traces, slowest 32, 1-in-16 per-route sampling).
-func NewTraceRecorder(opt TraceRecorderOptions) *TraceRecorder { return obs.NewRecorder(opt) }
-
-// NewTrace starts an empty trace originating now, under a fresh
-// trace ID.
-func NewTrace() *RequestTrace { return obs.NewTrace() }
-
-// ContinueTrace starts a local trace segment that joins a caller's
-// distributed trace (the trace and parent span IDs from a validated
-// W3C traceparent header, e.g. via ParseTraceparent).
-func ContinueTrace(traceID, parentSpanID string) *RequestTrace {
-	return obs.ContinueTrace(traceID, parentSpanID)
-}
-
-// FormatTraceparent renders the version-00 W3C traceparent header for
-// one outbound hop.
-func FormatTraceparent(traceID, spanID string) string {
-	return obs.FormatTraceparent(traceID, spanID)
-}
-
-// ParseTraceparent validates and splits an inbound W3C traceparent
-// header; ok is false for anything but a well-formed version-00 value.
-func ParseTraceparent(h string) (traceID, spanID string, ok bool) {
-	return obs.ParseTraceparent(h)
-}
-
-// WithTrace returns ctx carrying tr; the engine records span events
-// into the carried trace.
-func WithTrace(ctx context.Context, tr *RequestTrace) context.Context {
-	return obs.WithTrace(ctx, tr)
-}
-
-// TraceFrom returns the trace carried by ctx, or nil. A nil
-// *RequestTrace is safe to record into (no-op).
-func TraceFrom(ctx context.Context) *RequestTrace { return obs.TraceFrom(ctx) }
-
-// WithLogger returns ctx carrying a request-scoped structured logger;
-// the engine and passes emit their debug lines through it, so
-// attaching a logger pre-tagged with the trace ID correlates every
-// line to its request.
-func WithLogger(ctx context.Context, log *slog.Logger) context.Context {
-	return obs.WithLogger(ctx, log)
-}
-
-// LoggerFrom returns the logger carried by ctx, or slog.Default().
-func LoggerFrom(ctx context.Context) *slog.Logger { return obs.Logger(ctx) }

@@ -19,6 +19,27 @@ func compile(t *testing.T, req CompileRequest) *CompileResult {
 	return resp.Result
 }
 
+// benchmark builds a Table 2 benchmark by name, failing the test on an
+// unknown name.
+func benchmark(t *testing.T, name string) *Circuit {
+	t.Helper()
+	c, err := Benchmark(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// topology builds a named topology, failing the test on an unknown name.
+func topology(t testing.TB, name string, capacity int) *Topology {
+	t.Helper()
+	topo, err := TopologyByName(name, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
 func TestPublicEndToEnd(t *testing.T) {
 	c := QFT(10)
 	topo, err := TopologyByName("G-2x2", 4)
@@ -36,9 +57,9 @@ func TestPublicEndToEnd(t *testing.T) {
 }
 
 func TestPublicBuilders(t *testing.T) {
-	c := NewCircuit(3)
+	c := &Circuit{NumQubits: 3}
 	c.H(0).CX(0, 1)
-	if err := c.Append(NewGate("rz", []int{2}, 0.5)); err != nil {
+	if err := c.Append(Gate{Name: "rz", Qubits: []int{2}, Params: []float64{0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	if c.TwoQubitCount() != 1 {
@@ -49,9 +70,9 @@ func TestPublicBuilders(t *testing.T) {
 func TestPublicWorkloads(t *testing.T) {
 	cases := map[string]*Circuit{
 		"adder":      Adder(4),
-		"bv":         BV(8),
+		"bv":         benchmark(t, "BV_8"),
 		"qaoa":       QAOA(8, 2),
-		"alt":        ALT(8, 2),
+		"alt":        benchmark(t, "ALT_8"),
 		"qft":        QFT(8),
 		"heisenberg": Heisenberg(6, 2),
 	}
@@ -69,14 +90,14 @@ func TestPublicWorkloads(t *testing.T) {
 }
 
 func TestPublicDevices(t *testing.T) {
-	if LinearDevice(3, 5).TotalCapacity() != 15 {
-		t.Error("LinearDevice capacity wrong")
+	if topology(t, "L-3", 5).TotalCapacity() != 15 {
+		t.Error("L-3 capacity wrong")
 	}
 	if GridDevice(2, 3, 4).NumTraps() != 6 {
 		t.Error("GridDevice traps wrong")
 	}
-	if StarDevice(4, 4).NumTraps() != 4 {
-		t.Error("StarDevice traps wrong")
+	if topology(t, "S-4", 4).NumTraps() != 4 {
+		t.Error("S-4 traps wrong")
 	}
 	traps := []Trap{{ID: 0, Capacity: 3}, {ID: 1, Capacity: 3}}
 	segs := []Segment{{A: 0, B: 1, EndA: 1, EndB: 0}}
@@ -91,7 +112,7 @@ func TestPublicDevices(t *testing.T) {
 
 func TestPublicBaselines(t *testing.T) {
 	c := QFT(8)
-	topo := LinearDevice(2, 6)
+	topo := topology(t, "L-2", 6)
 	for _, name := range []string{MuraliCompilerName, DaiCompilerName} {
 		res := compile(t, CompileRequest{Circuit: c, Topo: topo, Compiler: name})
 		if res.Counts.TwoQubit != c.TwoQubitCount() {
@@ -114,20 +135,6 @@ func TestPublicQASM(t *testing.T) {
 	}
 }
 
-func TestPublicInitialMapping(t *testing.T) {
-	c := QFT(8)
-	topo := LinearDevice(2, 6)
-	cfg := DefaultCompileConfig().Mapping
-	cfg.Strategy = EvenDividedMapping
-	p, err := InitialMapping(cfg, c, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.IonCount(0)+p.IonCount(1) != 8 {
-		t.Error("mapping lost qubits")
-	}
-}
-
 func TestPublicExperiments(t *testing.T) {
 	out, err := RunExperiment("table2", ExperimentOptions{Quick: true})
 	if err != nil {
@@ -140,7 +147,7 @@ func TestPublicExperiments(t *testing.T) {
 
 func TestPublicGateModels(t *testing.T) {
 	c := QFT(8)
-	topo := LinearDevice(2, 6)
+	topo := topology(t, "L-2", 6)
 	res := compile(t, CompileRequest{Circuit: c, Topo: topo})
 	prev := -1.0
 	for _, model := range []GateModel{FMGate, PMGate, AM1Gate, AM2Gate} {
@@ -164,18 +171,14 @@ func TestPublicExtensions(t *testing.T) {
 		t.Fatal("racetrack wrapper broken")
 	}
 
-	place, err := AnnealedMapping(DefaultCompileConfig().Mapping, DefaultAnnealConfig(), c, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := compile(t, CompileRequest{Circuit: c, Topo: topo, Compiler: SSyncAnnealedCompilerName})
 	ions := 0
 	for tr := 0; tr < topo.NumTraps(); tr++ {
-		ions += place.IonCount(tr)
+		ions += res.Initial.IonCount(tr)
 	}
 	if ions != c.NumQubits {
 		t.Errorf("annealed placement holds %d ions, want %d", ions, c.NumQubits)
 	}
-	res := compile(t, CompileRequest{Circuit: c, Topo: topo, Compiler: SSyncAnnealedCompilerName})
 
 	tl := BuildTimeline(res.Schedule, DefaultNoiseParams())
 	if tl.Makespan <= 0 {
@@ -206,7 +209,7 @@ func TestPublicExtensions(t *testing.T) {
 }
 
 func TestPublicOptimize(t *testing.T) {
-	c := NewCircuit(2)
+	c := &Circuit{NumQubits: 2}
 	c.H(0).H(0).CX(0, 1)
 	o := Optimize(c)
 	if len(o.Gates) != 1 {
@@ -241,8 +244,8 @@ func TestPublicCSVExperiment(t *testing.T) {
 }
 
 func TestPublicT2(t *testing.T) {
-	c := BV(8)
-	topo := LinearDevice(2, 6)
+	c := benchmark(t, "BV_8")
+	topo := topology(t, "L-2", 6)
 	res := compile(t, CompileRequest{Circuit: c, Topo: topo})
 	base := Simulate(res.Schedule, topo, DefaultSimOptions())
 	opt := DefaultSimOptions()
