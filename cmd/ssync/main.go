@@ -71,16 +71,15 @@ func run(benchName, qasmFile, topoName string, capacity int, compiler, mapName, 
 	if cfg.Mapping.Strategy, err = mapping.ParseStrategy(mapName); err != nil {
 		return err
 	}
+	opt := ssync.DefaultSimOptions()
+	if opt.Params.Model, err = noise.ParseGateModel(gateModel); err != nil {
+		return err
+	}
 	resp := ssync.Do(context.Background(), ssync.CompileRequest{Circuit: c, Topo: topo, Compiler: compiler, Config: &cfg})
 	if resp.Err != nil {
 		return resp.Err
 	}
 	res := resp.Result
-
-	opt := ssync.DefaultSimOptions()
-	if opt.Params.Model, err = noise.ParseGateModel(gateModel); err != nil {
-		return err
-	}
 	m := ssync.Simulate(res.Schedule, topo, opt)
 
 	fmt.Printf("circuit:        %s (%d qubits, %d 2Q gates)\n",

@@ -21,7 +21,7 @@ func compile(t *testing.T, req CompileRequest) *CompileResult {
 
 // benchmark builds a Table 2 benchmark by name, failing the test on an
 // unknown name.
-func benchmark(t *testing.T, name string) *Circuit {
+func benchmark(t testing.TB, name string) *Circuit {
 	t.Helper()
 	c, err := Benchmark(name)
 	if err != nil {
