@@ -71,6 +71,7 @@ func TestTimelineMatchesSimulator(t *testing.T) {
 				if st := tl.Stats(); st.MaxParallel < 1 {
 					t.Errorf("%s: no parallelism measured", cell)
 				}
+				// Shift through Merge are the transport kinds.
 				for _, lane := range tl.Lanes {
 					for _, iv := range lane {
 						switch k := iv.Op.Kind; {
