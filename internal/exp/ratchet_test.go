@@ -1,13 +1,19 @@
 package exp
 
 import (
+	"context"
 	"math"
+	"sort"
 	"sync"
 	"testing"
+
+	"ssync/internal/device"
+	"ssync/internal/engine"
+	"ssync/internal/workloads"
 )
 
 // gridQuality summarises S-SYNC against the better of the two baselines
-// on each panel of a Figs. 8–10 grid.
+// on each panel of a grid.
 type gridQuality struct {
 	// ShuttleRatio is the geomean over panels of the better baseline's
 	// shuttles over S-SYNC's (above 1: S-SYNC shuttles less).
@@ -19,37 +25,38 @@ type gridQuality struct {
 	// on each metric.
 	ShuttleWins, SuccessWins int
 	Panels                   int
+	// MedianDeltaLn and WorstDeltaLn are the median and the lowest
+	// per-panel ln(success) of S-SYNC minus the better baseline's.
+	MedianDeltaLn, WorstDeltaLn float64
 }
 
-// qualityOf folds a comparison grid into its gridQuality. Success rates
-// compare through LogSuccess, which stays finite where the rate itself
-// underflows.
+// qualityOf folds a grid into its gridQuality. The cells come panel by
+// panel, one per compiler of Compilers, so each run of len(Compilers)
+// cells is one panel. Success rates compare through LogSuccess, which
+// stays finite where the rate itself underflows.
 func qualityOf(t *testing.T, cells []Cell) gridQuality {
 	t.Helper()
-	type panel struct{ app, topo string }
-	byPanel := map[panel]map[CompilerName]Cell{}
-	var order []panel
-	for _, c := range cells {
-		p := panel{c.App, c.Topo}
-		if byPanel[p] == nil {
-			byPanel[p] = map[CompilerName]Cell{}
-			order = append(order, p)
-		}
-		byPanel[p][c.Compiler] = c
+	if len(cells)%len(Compilers) != 0 {
+		t.Fatalf("%d cells do not split into panels of %d compilers", len(cells), len(Compilers))
 	}
 	var q gridQuality
 	var logShuttle, logSuccess float64
-	for _, p := range order {
-		row := byPanel[p]
+	var deltas []float64
+	for i := 0; i < len(cells); i += len(Compilers) {
+		row := map[CompilerName]Cell{}
+		for _, c := range cells[i : i+len(Compilers)] {
+			row[c.Compiler] = c
+		}
 		s, m, d := row[SSync], row[Murali], row[Dai]
 		bestShuttles := min(m.Shuttles, d.Shuttles)
 		bestLogSuccess := max(m.LogSuccess, d.LogSuccess)
-		if s.Shuttles == 0 || bestShuttles == 0 || math.IsInf(s.LogSuccess, 0) || math.IsInf(bestLogSuccess, 0) {
-			t.Fatalf("%s/%s: degenerate panel (shuttles %d vs %d, log success %g vs %g)",
-				p.app, p.topo, s.Shuttles, bestShuttles, s.LogSuccess, bestLogSuccess)
+		if len(row) != len(Compilers) || s.Shuttles == 0 || bestShuttles == 0 || math.IsInf(s.LogSuccess, 0) || math.IsInf(bestLogSuccess, 0) {
+			t.Fatalf("%s/%s: degenerate panel (compilers %d, shuttles %d vs %d, log success %g vs %g)",
+				s.App, s.Topo, len(row), s.Shuttles, bestShuttles, s.LogSuccess, bestLogSuccess)
 		}
 		logShuttle += math.Log(float64(bestShuttles) / float64(s.Shuttles))
 		logSuccess += s.LogSuccess - bestLogSuccess
+		deltas = append(deltas, s.LogSuccess-bestLogSuccess)
 		if s.Shuttles < bestShuttles {
 			q.ShuttleWins++
 		}
@@ -57,9 +64,12 @@ func qualityOf(t *testing.T, cells []Cell) gridQuality {
 			q.SuccessWins++
 		}
 	}
-	q.Panels = len(order)
+	q.Panels = len(deltas)
 	q.ShuttleRatio = math.Exp(logShuttle / float64(q.Panels))
 	q.SuccessRatio = math.Exp(logSuccess / float64(q.Panels))
+	sort.Float64s(deltas)
+	q.MedianDeltaLn = (deltas[(q.Panels-1)/2] + deltas[q.Panels/2]) / 2
+	q.WorstDeltaLn = deltas[0]
 	return q
 }
 
@@ -84,29 +94,102 @@ func TestFullGridQualityRatchet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFloor(t, "full grid", qualityOf(t, cells), fullGridFloor)
+}
+
+// heldOutFloor is S-SYNC's recorded quality on the held-out grid, a
+// ratchet like fullGridFloor that also keeps the median and worst
+// per-panel Δln(success) from falling.
+var heldOutFloor = gridQuality{
+	ShuttleRatio:  0.966981641243,
+	SuccessRatio:  0.251804782158,
+	ShuttleWins:   67,
+	SuccessWins:   80,
+	Panels:        204,
+	MedianDeltaLn: -0.032453026485,
+	WorstDeltaLn:  -22.284571197103,
+}
+
+// TestHeldOutQualityRatchet compiles a grid no quality change was tuned
+// on: Fig. 11's sweep (7 topologies × total capacity 96–144) over six
+// paper-scale applications, minus each topology's paper capacity, under
+// the three evaluated compilers. A panel is an application, a topology
+// and a trap capacity. It fails if S-SYNC's quality against the better
+// baseline drops below heldOutFloor on any of the six measures.
+func TestHeldOutQualityRatchet(t *testing.T) {
+	apps := []string{"QFT_64", "BV_64", "Adder_32", "Heisenberg_48", "QAOA_64", "ALT_64"}
+	topos := []string{"L-6", "G-2x3", "S-6", "L-4", "G-2x2", "S-4", "G-3x3"}
+	totals := []int{96, 108, 120, 132, 144}
+	var reqs []engine.Request
+	for _, app := range apps {
+		c, err := workloads.Build(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tn := range topos {
+			for _, total := range totals {
+				topo, err := device.ByName(tn, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				capacity := (total + topo.NumTraps() - 1) / topo.NumTraps()
+				if capacity == device.PaperCapacity(tn) {
+					continue
+				}
+				if topo, err = device.ByName(tn, capacity); err != nil {
+					t.Fatal(err)
+				}
+				for _, comp := range Compilers {
+					reqs = append(reqs, engine.Request{Label: app, Circuit: c, Topo: topo, Compiler: comp})
+				}
+			}
+		}
+	}
+	var cells []Cell
+	for i, r := range (&engine.Pool{}).RunRequests(context.Background(), reqs) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		cells = append(cells, cellFromResult(r.Compiler, reqs[i].Label, reqs[i].Topo, r.Result))
+	}
 	q := qualityOf(t, cells)
-	t.Logf("full grid: shuttle ratio %.12f, success ratio %.12f, shuttle wins %d, success wins %d of %d panels",
-		q.ShuttleRatio, q.SuccessRatio, q.ShuttleWins, q.SuccessWins, q.Panels)
-	if q.Panels != fullGridFloor.Panels {
-		t.Fatalf("grid has %d panels, want %d", q.Panels, fullGridFloor.Panels)
+	checkFloor(t, "held-out grid", q, heldOutFloor)
+	t.Logf("held-out grid: median Δln(success) %.12f, worst %.12f", q.MedianDeltaLn, q.WorstDeltaLn)
+	if below(q.MedianDeltaLn, heldOutFloor.MedianDeltaLn) {
+		t.Errorf("median Δln(success) %.6f fell below its floor %.6f", q.MedianDeltaLn, heldOutFloor.MedianDeltaLn)
 	}
-	// The ratios compare at 1e-9 relative slack: the grid is
-	// deterministic, but the geomean's float summation order is not
-	// worth pinning.
-	const slack = 1 - 1e-9
-	if q.ShuttleRatio < fullGridFloor.ShuttleRatio*slack {
-		t.Errorf("shuttle ratio %.6f fell below its floor %.6f", q.ShuttleRatio, fullGridFloor.ShuttleRatio)
-	}
-	if q.SuccessRatio < fullGridFloor.SuccessRatio*slack {
-		t.Errorf("success ratio %.6f fell below its floor %.6f", q.SuccessRatio, fullGridFloor.SuccessRatio)
-	}
-	if q.ShuttleWins < fullGridFloor.ShuttleWins {
-		t.Errorf("S-SYNC wins %d panels on shuttles, floor %d", q.ShuttleWins, fullGridFloor.ShuttleWins)
-	}
-	if q.SuccessWins < fullGridFloor.SuccessWins {
-		t.Errorf("S-SYNC wins %d panels on success, floor %d", q.SuccessWins, fullGridFloor.SuccessWins)
+	if below(q.WorstDeltaLn, heldOutFloor.WorstDeltaLn) {
+		t.Errorf("worst Δln(success) %.6f fell below its floor %.6f", q.WorstDeltaLn, heldOutFloor.WorstDeltaLn)
 	}
 }
+
+// checkFloor fails if q has a different panel count from floor or falls
+// below it on a ratio or a win count.
+func checkFloor(t *testing.T, grid string, q, floor gridQuality) {
+	t.Helper()
+	t.Logf("%s: shuttle ratio %.12f, success ratio %.12f, shuttle wins %d, success wins %d of %d panels",
+		grid, q.ShuttleRatio, q.SuccessRatio, q.ShuttleWins, q.SuccessWins, q.Panels)
+	if q.Panels != floor.Panels {
+		t.Fatalf("grid has %d panels, want %d", q.Panels, floor.Panels)
+	}
+	if below(q.ShuttleRatio, floor.ShuttleRatio) {
+		t.Errorf("shuttle ratio %.6f fell below its floor %.6f", q.ShuttleRatio, floor.ShuttleRatio)
+	}
+	if below(q.SuccessRatio, floor.SuccessRatio) {
+		t.Errorf("success ratio %.6f fell below its floor %.6f", q.SuccessRatio, floor.SuccessRatio)
+	}
+	if q.ShuttleWins < floor.ShuttleWins {
+		t.Errorf("S-SYNC wins %d panels on shuttles, floor %d", q.ShuttleWins, floor.ShuttleWins)
+	}
+	if q.SuccessWins < floor.SuccessWins {
+		t.Errorf("S-SYNC wins %d panels on success, floor %d", q.SuccessWins, floor.SuccessWins)
+	}
+}
+
+// below reports whether v fell under floor by more than 1e-9 of the
+// floor's magnitude: the grids are deterministic, but the float
+// summation order is not worth pinning.
+func below(v, floor float64) bool { return v < floor-1e-9*math.Abs(floor) }
 
 // TestComparisonConcurrentCallers races four Comparison calls on an
 // empty memo: under -race an unguarded memo is a reported data race, and
