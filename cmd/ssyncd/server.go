@@ -1132,10 +1132,18 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
 	return nil
 }
 
+// writeJSON encodes v before writing the status line, so a value JSON
+// cannot encode (a NaN or ±Inf float) answers 500 with an error body
+// instead of a 200 with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -390,5 +391,31 @@ func TestStatsV2Endpoint(t *testing.T) {
 	}
 	if len(st.Compilers) == 0 {
 		t.Error("v2 stats carries no compiler listing")
+	}
+}
+
+// TestWriteJSONNonFiniteIs500: a value JSON cannot encode answers 500
+// with an error body, not a 200 with an empty one; an encodable value
+// gets exactly the bytes json.Encoder writes, trailing newline included.
+func TestWriteJSONNonFiniteIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"tokens": math.NaN()})
+	var body struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("body %q: %v", rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || body.Error == "" {
+		t.Errorf("NaN value: status %d, body %q; want 500 with an error", rec.Code, rec.Body.String())
+	}
+
+	v := map[string]any{"a": 1.5, "b": "<x>"}
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusAccepted, v)
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusAccepted || rec.Body.String() != want.String() {
+		t.Errorf("status %d, body %q; want %d, %q", rec.Code, rec.Body.String(), http.StatusAccepted, want.String())
 	}
 }

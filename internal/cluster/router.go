@@ -481,14 +481,25 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(r.Stats())
+	writeJSON(w, http.StatusOK, r.Stats())
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {
+	writeJSON(w, status, map[string]string{"error": msg})
+}
+
+// writeJSON encodes v before writing the status line, so a value JSON
+// cannot encode (a NaN or ±Inf float) answers 500 with an error body
+// instead of a 200 with an empty one.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	w.Write(append(body, '\n'))
 }
 
 // routerMetrics is the ssync_cluster_* family set on the attached

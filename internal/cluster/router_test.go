@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -345,5 +346,27 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(Options{Replicas: []string{"not-a-url"}}); err == nil {
 		t.Fatal("New accepted a non-http replica")
+	}
+}
+
+// TestWriteJSONNonFiniteIs500: the router's one JSON writer answers 500
+// with an error body for a value JSON cannot encode, and otherwise
+// writes exactly the bytes json.Encoder writes, trailing newline
+// included.
+func TestWriteJSONNonFiniteIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"load": math.Inf(1)})
+	var body struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("body %q: %v", rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || body.Error == "" {
+		t.Errorf("+Inf value: status %d, body %q; want 500 with an error", rec.Code, rec.Body.String())
+	}
+
+	rec = httptest.NewRecorder()
+	httpError(rec, http.StatusNotFound, "no such trace")
+	if rec.Code != http.StatusNotFound || rec.Body.String() != "{\"error\":\"no such trace\"}\n" {
+		t.Errorf("httpError: status %d, body %q", rec.Code, rec.Body.String())
 	}
 }

@@ -30,7 +30,7 @@ const traceFetchTimeout = 2 * time.Second
 // routed request, so its summaries already cover fleet traffic; the
 // full fleet detail for one trace comes from the stitched lookup.
 func (r *Router) handleTracesList(w http.ResponseWriter, req *http.Request) {
-	writeTraceJSON(w, http.StatusOK, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"traces": r.rec.List(obs.ParseTraceQuery(req.URL.Query())),
 	})
 }
@@ -46,7 +46,7 @@ func (r *Router) handleTraceGet(w http.ResponseWriter, req *http.Request, id str
 		httpError(w, http.StatusNotFound, "no such trace")
 		return
 	}
-	writeTraceJSON(w, http.StatusOK, doc)
+	writeJSON(w, http.StatusOK, doc)
 }
 
 // stitch assembles the fleet-wide view of one trace: the router's own
@@ -145,10 +145,4 @@ func (r *Router) fetchTrace(ctx context.Context, shardURL, id string) (*obs.Trac
 		return nil, fmt.Errorf("cluster: shard %s returned trace %q for %q", shardURL, doc.TraceID, id)
 	}
 	return &doc, nil
-}
-
-func writeTraceJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
 }
