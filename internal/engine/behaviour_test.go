@@ -8,17 +8,16 @@ import (
 	"strings"
 	"testing"
 
-	"ssync/internal/device"
 	"ssync/internal/sim"
 	"ssync/internal/workloads"
 )
 
 // TestBehaviourGolden pins what the built-in compilers emit on the
-// quick-scale Figs. 8–10 grid: every schedule.Counts field plus the op
-// count of each (workload, topology, compiler) cell, and the schedule's
-// execution time, log success rate and peak transport n̄ under
-// sim.DefaultOptions() (shortest exact decimal), compared exactly
-// against the checked-in golden. Refactors must leave it unchanged; after
+// quick-scale Figs. 8–10 grid (workloads.ComparisonPanels(true)): every
+// schedule.Counts field plus the op count of each (workload, topology,
+// compiler) cell, and the schedule's execution time, log success rate
+// and peak transport n̄ under sim.DefaultOptions() (shortest exact
+// decimal), compared exactly against the checked-in golden. Refactors must leave it unchanged; after
 // an intended behaviour change, refresh it with:
 //
 //	go test ./internal/engine/ -run TestBehaviourGolden -update
@@ -27,36 +26,22 @@ var updateBehaviour = flag.Bool("update", false, "rewrite testdata/behaviour.gol
 const behaviourGolden = "testdata/behaviour.golden"
 
 func TestBehaviourGolden(t *testing.T) {
-	grid := []struct {
-		app   string
-		topos []string
-	}{
-		{"Adder_4", []string{"S-4", "G-2x2"}},
-		{"BV_12", []string{"S-4"}},
-		{"QFT_12", []string{"S-4", "G-2x2"}},
-	}
 	compilers := []string{CompilerMurali, CompilerDai, CompilerSSync, CompilerSSyncAnnealed}
 	var b strings.Builder
-	for _, g := range grid {
-		c, err := workloads.Build(g.app)
+	for _, p := range workloads.ComparisonPanels(true) {
+		c, topo, err := p.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tn := range g.topos {
-			topo, err := device.ByName(tn, 8)
+		for _, name := range compilers {
+			res, err := Direct(Request{Circuit: c, Topo: topo, Compiler: name})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s on %s with %s: %v", p.App, p.Topo, name, err)
 			}
-			for _, name := range compilers {
-				res, err := Direct(Request{Circuit: c, Topo: topo, Compiler: name})
-				if err != nil {
-					t.Fatalf("%s on %s with %s: %v", g.app, tn, name, err)
-				}
-				m := sim.Run(res.Schedule, topo, sim.DefaultOptions())
-				fmt.Fprintf(&b, "%s %s %s ops=%d %+v time=%s log_success=%s max_nbar=%s\n",
-					g.app, tn, name, len(res.Schedule.Ops), res.Counts,
-					exact(m.ExecutionTime), exact(m.LogSuccess), exact(m.MaxNbar))
-			}
+			m := sim.Run(res.Schedule, topo, sim.DefaultOptions())
+			fmt.Fprintf(&b, "%s %s %s ops=%d %+v time=%s log_success=%s max_nbar=%s\n",
+				p.App, p.Topo, name, len(res.Schedule.Ops), res.Counts,
+				exact(m.ExecutionTime), exact(m.LogSuccess), exact(m.MaxNbar))
 		}
 	}
 	got := b.String()

@@ -9,18 +9,24 @@ import (
 	"ssync/internal/workloads"
 )
 
-// TestAblationEngineMatchesDirectCompile pins the ablation rework: the
-// engine path with per-stage prefix caching (decompose→place computed
-// once per workload, every variant resuming from the cached snapshot)
-// produces exactly the rows the original serial core.Compile loop
-// produced — prefix reuse is a work optimisation, never a result change.
+// TestAblationEngineMatchesDirectCompile pins the ablation on the
+// runner: compiling each variant's canned S-SYNC pipeline through the
+// cacheless pool produces exactly the rows a serial core.Compile loop
+// produces.
 func TestAblationEngineMatchesDirectCompile(t *testing.T) {
-	_, got, err := Ablation(Options{Quick: true})
+	_, cells, err := Ablation(Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var want []AblationRow
+	type row struct {
+		app, topo, variant         string
+		shuttles, swaps, fallbacks int
+		success                    float64
+	}
+	var got, want []row
+	for _, c := range cells {
+		got = append(got, row{c.App, c.Topo, c.Variant, c.Shuttles, c.Swaps, c.Fallbacks, c.Success})
+	}
 	for _, w := range []struct {
 		app, topo string
 		cap       int
@@ -40,18 +46,12 @@ func TestAblationEngineMatchesDirectCompile(t *testing.T) {
 			continue
 		}
 		for _, v := range ablationVariants() {
-			cfg := core.DefaultConfig()
-			v.mut(&cfg)
-			res, err := core.Compile(cfg, c, topo)
+			res, err := core.Compile(*v.Config, c, topo)
 			if err != nil {
 				t.Fatal(err)
 			}
 			m := sim.Run(res.Schedule, topo, sim.DefaultOptions())
-			want = append(want, AblationRow{
-				App: w.app, Topo: w.topo, Variant: v.name,
-				Shuttles: res.Counts.Shuttles, Swaps: res.Counts.Swaps,
-				Success: m.SuccessRate, Fallbacks: res.Fallbacks,
-			})
+			want = append(want, row{w.app, w.topo, v.Name, res.Counts.Shuttles, res.Counts.Swaps, res.Fallbacks, m.SuccessRate})
 		}
 	}
 

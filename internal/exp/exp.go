@@ -3,32 +3,29 @@
 // (Figs. 8–10), the topology/capacity study (Fig. 11), the initial-mapping
 // study (Fig. 12), gate-implementation analysis (Fig. 13), hyperparameter
 // sensitivity (Fig. 14), compilation-time scaling (Fig. 15), the optimality
-// analysis (Fig. 16), and Tables 1–2. Each runner returns structured rows
-// and renders the same series the paper plots.
+// analysis (Fig. 16), and Tables 1–2. Each figure is a list of panels and
+// compiler variants, compiled by one runner (compile), plus its renderer;
+// one registry names every experiment and gives its text and its CSV
+// from the same rows.
 package exp
 
 import (
 	"context"
+	"encoding/csv"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
-	"ssync/internal/circuit"
 	"ssync/internal/core"
 	"ssync/internal/device"
 	"ssync/internal/engine"
-	"ssync/internal/mapping"
-	"ssync/internal/noise"
-	"ssync/internal/sched"
 	"ssync/internal/sim"
 	"ssync/internal/workloads"
 )
 
-// CompilerName identifies one of the three evaluated compilers by its
-// engine compiler name, so the experiment grid and the batch/service
-// layers share one dispatch.
-type CompilerName = string
-
+// The three evaluated compilers, by engine compiler name.
 const (
 	Murali = engine.CompilerMurali
 	Dai    = engine.CompilerDai
@@ -36,12 +33,16 @@ const (
 )
 
 // Compilers lists the evaluation order used in the figures.
-var Compilers = []CompilerName{Murali, Dai, SSync}
+var Compilers = []string{Murali, Dai, SSync}
 
-// CompileWith runs the named compiler's canned pipeline with default
-// configuration.
-func CompileWith(name CompilerName, c *circuit.Circuit, topo *device.Topology) (*core.Result, error) {
-	return engine.Direct(engine.Request{Circuit: c, Topo: topo, Compiler: name})
+// compilerVariants are Compilers as runner variants, each under its
+// default configuration.
+func compilerVariants(names ...string) []engine.Variant {
+	vs := make([]engine.Variant, len(names))
+	for i, n := range names {
+		vs[i] = engine.Variant{Name: n, Compiler: n}
+	}
+	return vs
 }
 
 // Options scales the experiments: Quick shrinks workloads and sweeps to
@@ -50,68 +51,98 @@ type Options struct {
 	Quick bool
 }
 
-// Cell is one (application, topology, compiler) measurement, carrying
-// everything Figs. 8, 9 and 10 plot.
+// Cell is one compiled (panel, variant) point, scored under
+// sim.DefaultOptions(): everything Figs. 8–12, 14 and 15 and the
+// ablation plot. Figs. 13 and 16 re-simulate the same schedule, one cell
+// per option set.
 type Cell struct {
-	App      string
-	Topo     string
-	Compiler CompilerName
+	workloads.Panel
+	// Variant names the compiler variant: the compiler in Figs. 8–10
+	// and 15, the initial mapping in Fig. 12, the parameter in Fig. 14,
+	// the gate model or idealisation in Figs. 13 and 16.
+	Variant string
 
 	Shuttles    int
 	Swaps       int
+	Fallbacks   int
 	Success     float64
 	LogSuccess  float64
 	ExecTime    float64 // µs
 	CompileTime time.Duration
+
+	res  *core.Result
+	topo *device.Topology
 }
 
-// runCell compiles app on topo with the given compiler and simulates with
-// FM gates (the Figs. 8–10 setting).
-func runCell(name CompilerName, app string, c *circuit.Circuit, topo *device.Topology) (Cell, error) {
-	res, err := CompileWith(name, c, topo)
-	if err != nil {
-		return Cell{}, fmt.Errorf("exp: %s on %s with %s: %w", app, topo.Name, name, err)
-	}
-	return cellFromResult(name, app, topo, res), nil
-}
-
-// cellFromResult scores one compiled grid entry — the single place a
-// Cell is built, shared by the serial and pooled paths so they cannot
-// diverge.
-func cellFromResult(name CompilerName, app string, topo *device.Topology, res *core.Result) Cell {
-	m := sim.Run(res.Schedule, topo, sim.DefaultOptions())
-	return Cell{
-		App: app, Topo: topo.Name, Compiler: name,
-		Shuttles: res.Counts.Shuttles, Swaps: res.Counts.Swaps,
-		Success: m.SuccessRate, LogSuccess: m.LogSuccess,
-		ExecTime: m.ExecutionTime, CompileTime: res.CompileTime,
-	}
-}
-
-// comparisonApps returns the Fig. 8–10 benchmark grid: application name →
-// topology list (exact paper panels), or a reduced grid in quick mode.
-func comparisonApps(opt Options) (map[string][]string, func(string) (*circuit.Circuit, error)) {
-	if opt.Quick {
-		apps := map[string][]string{
-			"QFT_12":  {"S-4", "G-2x2"},
-			"Adder_4": {"S-4", "G-2x2"},
-			"BV_12":   {"S-4"},
+// compile is every experiment's one compile path. It builds each panel,
+// skips those with fewer slots than qubits (the paper omits them too),
+// compiles each remaining panel under every variant through one
+// cacheless engine.Pool, and scores each schedule under
+// sim.DefaultOptions(). Cells come panel by panel, variants in order.
+// workers <= 0 selects GOMAXPROCS; one worker keeps compile times
+// serial.
+func compile(panels []workloads.Panel, variants []engine.Variant, workers int) ([]Cell, error) {
+	var reqs []engine.Request
+	var at []workloads.Panel
+	for _, p := range panels {
+		c, topo, err := p.Build()
+		if err != nil {
+			return nil, err
 		}
-		return apps, workloads.Build
+		if topo.TotalCapacity() < c.NumQubits {
+			continue
+		}
+		for _, v := range variants {
+			reqs = append(reqs, engine.Request{
+				Label: v.Name, Circuit: c, Topo: topo,
+				Compiler: v.Compiler, Config: v.Config, Anneal: v.Anneal,
+			})
+			at = append(at, p)
+		}
 	}
-	apps := map[string][]string{
-		"QFT_24":   {"S-4", "L-6", "G-2x2", "G-2x3", "G-3x3"},
-		"Adder_32": {"S-4", "L-4", "G-2x2", "G-2x3", "G-3x3"},
-		"QAOA_64":  {"S-4", "L-4", "L-6", "G-2x2", "G-2x3", "G-3x3"},
-		"ALT_64":   {"S-4", "G-2x2", "G-2x3", "G-3x3"},
-		"QFT_64":   {"S-4", "G-2x2", "G-3x3"},
-		"BV_64":    {"S-4", "L-6", "G-2x3", "G-3x3"},
+	pool := engine.Pool{Workers: workers}
+	cells := make([]Cell, len(reqs))
+	for i, r := range pool.RunRequests(context.Background(), reqs) {
+		req := reqs[i]
+		if r.Err != nil {
+			return nil, fmt.Errorf("exp: %s on %s with %s: %w", at[i].App, req.Topo.Name, req.Label, r.Err)
+		}
+		m := sim.Run(r.Result.Schedule, req.Topo, sim.DefaultOptions())
+		cells[i] = Cell{
+			Panel: at[i], Variant: req.Label,
+			Shuttles: r.Result.Counts.Shuttles, Swaps: r.Result.Counts.Swaps, Fallbacks: r.Result.Fallbacks,
+			Success: m.SuccessRate, LogSuccess: m.LogSuccess, ExecTime: m.ExecutionTime,
+			CompileTime: r.Result.CompileTime,
+			res:         r.Result, topo: req.Topo,
+		}
 	}
-	return apps, workloads.Build
+	return cells, nil
 }
 
-// quickCapacity mirrors device.PaperCapacity at quick scale.
-func quickCapacity(string) int { return 8 }
+// resimulate scores each cell's schedule again under each option set,
+// giving one cell per (cell, option set) with Variant naming the set.
+func resimulate(cells []Cell, names []string, opts []sim.Options) []Cell {
+	var out []Cell
+	for _, c := range cells {
+		for i, o := range opts {
+			m := sim.Run(c.res.Schedule, c.topo, o)
+			r := c
+			r.Variant, r.Success, r.LogSuccess, r.ExecTime = names[i], m.SuccessRate, m.LogSuccess, m.ExecutionTime
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// comparisonCache memoises the Figs. 8–10 grid per scale so fig8, fig9
+// and fig10 (and "all") share one compilation pass. The grid is
+// deterministic, so caching is safe; compile times in cells reflect the
+// first run. comparisonMu guards it and is held across a computation, so
+// concurrent callers compile each grid once.
+var (
+	comparisonMu    sync.Mutex
+	comparisonCache = map[bool][]Cell{}
+)
 
 // ResetCaches clears memoised experiment results so benchmarks can measure
 // repeated full runs.
@@ -121,135 +152,155 @@ func ResetCaches() {
 	comparisonCache = map[bool][]Cell{}
 }
 
-// comparisonCache memoises the Figs. 8–10 grid so fig8/fig9/fig10 (and
-// "all") share one compilation pass. The grid is deterministic, so caching
-// is safe; compile times in cells reflect the first run. comparisonMu
-// guards it and is held across a computation, so concurrent callers
-// compile each grid once.
-var (
-	comparisonMu    sync.Mutex
-	comparisonCache = map[bool][]Cell{}
-)
-
-// Comparison runs the full Figs. 8–10 grid: every benchmark × topology ×
-// compiler cell, in deterministic order, fanned across an engine.Pool.
-// Results are memoised per scale. It is safe for concurrent use.
+// Comparison runs the Figs. 8–10 grid: every panel of
+// workloads.ComparisonPanels under each of Compilers, compiled
+// concurrently. CompileTime is therefore wall-clock under contention;
+// Fig. 15 carries the serial compile-time measurements. Results are
+// memoised per scale without their schedules. It is safe for concurrent
+// use.
 func Comparison(opt Options) ([]Cell, error) {
 	comparisonMu.Lock()
 	defer comparisonMu.Unlock()
 	if cells, ok := comparisonCache[opt.Quick]; ok {
 		return cells, nil
 	}
-	cells, err := comparison(opt)
-	if err == nil {
-		comparisonCache[opt.Quick] = cells
+	cells, err := compile(workloads.ComparisonPanels(opt.Quick), compilerVariants(Compilers...), 0)
+	if err != nil {
+		return nil, err
 	}
-	return cells, err
+	for i := range cells {
+		cells[i].res, cells[i].topo = nil, nil
+	}
+	comparisonCache[opt.Quick] = cells
+	return cells, nil
 }
 
-// comparisonRequests enumerates the grid as compilation requests in the
-// exact order the serial loops visited it: app (sorted) → topology →
-// compiler.
-func comparisonRequests(opt Options) ([]engine.Request, error) {
-	apps, build := comparisonApps(opt)
-	capOf := device.PaperCapacity
-	if opt.Quick {
-		capOf = quickCapacity
-	}
-	var reqs []engine.Request
-	for _, app := range sortedKeys(apps) {
-		c, err := build(app)
-		if err != nil {
-			return nil, err
+// experiment is one registry entry: run regenerates the experiment and
+// returns its text report and its CSV records, both from the same rows.
+// header is the CSV header; nil means the experiment has no CSV form.
+type experiment struct {
+	name   string
+	header []string
+	run    func(Options) (string, [][]string, error)
+}
+
+// entry builds a registry entry from a runner returning typed rows and
+// the function rendering one row as a CSV record.
+func entry[R any](name string, header []string, run func(Options) (string, []R, error), record func(R) []string) experiment {
+	return experiment{name, header, func(opt Options) (string, [][]string, error) {
+		text, rows, err := run(opt)
+		records := make([][]string, len(rows))
+		for i, r := range rows {
+			records[i] = record(r)
 		}
-		for _, tn := range apps[app] {
-			topo, err := device.ByName(tn, capOf(tn))
+		return text, records, err
+	}}
+}
+
+// registry lists every experiment in report order. The trailing
+// "ablation" and "passes" entries are this repository's own studies
+// (design choices; pipeline-stage breakdown), not paper figures.
+var registry = []experiment{
+	{name: "table1", run: func(Options) (string, [][]string, error) { return Table1(), nil, nil }},
+	entry("table2", []string{"application", "qubits", "two_qubit_gates", "communication"},
+		func(Options) (string, []Table2Row, error) { return Table2() },
+		func(r Table2Row) []string {
+			return []string{r.Name, itoa(r.Qubits), itoa(r.TwoQubitGates), r.Communication}
+		}),
+	// The grid compiles concurrently, so per-cell compile time is
+	// wall-clock under contention, as the column name says.
+	entry("fig8", comparisonHeader, comparisonFigure("Fig. 8 — Number of shuttles (lower is better)", "shuttles"), comparisonRecord),
+	entry("fig9", comparisonHeader, comparisonFigure("Fig. 9 — Number of SWAP gates (lower is better)", "swaps"), comparisonRecord),
+	entry("fig10", comparisonHeader, comparisonFigure("Fig. 10 — Success rate (higher is better)", "success"), comparisonRecord),
+	entry("fig11", []string{"application", "topology", "total_capacity", "success", "exec_time_us"}, Fig11,
+		func(c Cell) []string {
+			return []string{c.App, c.Topo, itoa(c.topo.TotalCapacity()), ftoa(c.Success), ftoa(c.ExecTime)}
+		}),
+	entry("fig12", []string{"application", "size", "mapping", "shuttles", "swaps", "exec_time_us", "success"}, Fig12,
+		func(c Cell) []string {
+			return []string{c.App, itoa(c.Size), c.Variant, itoa(c.Shuttles), itoa(c.Swaps), ftoa(c.ExecTime), ftoa(c.Success)}
+		}),
+	entry("fig13", []string{"application", "gate_model", "success"}, Fig13, successRecord),
+	entry("fig14", []string{"application", "size", "param", "success"}, Fig14,
+		func(c Cell) []string { return []string{c.App, itoa(c.Size), c.Variant, ftoa(c.Success)} }),
+	entry("fig15", []string{"application", "size", "compiler", "compile_time_s"}, Fig15,
+		func(c Cell) []string { return []string{c.App, itoa(c.Size), c.Variant, ftoa(c.CompileTime.Seconds())} }),
+	entry("fig16", []string{"application", "scenario", "success"}, Fig16, successRecord),
+	entry("ablation", []string{"application", "topology", "variant", "shuttles", "swaps", "success", "fallbacks"}, Ablation,
+		func(c Cell) []string {
+			return []string{c.App, c.Topo, c.Variant, itoa(c.Shuttles), itoa(c.Swaps), ftoa(c.Success), itoa(c.Fallbacks)}
+		}),
+	entry("passes", []string{"application", "topology", "compiler", "stage", "pass", "time_ms", "gate_delta"}, PassBreakdown,
+		func(r PassRow) []string {
+			return []string{r.App, r.Topo, r.Compiler, itoa(r.Stage), r.Pass,
+				ftoa(float64(r.Duration.Nanoseconds()) / 1e6), itoa(r.GateDelta)}
+		}),
+}
+
+var comparisonHeader = []string{"application", "topology", "compiler", "shuttles", "swaps", "success", "exec_time_us", "compile_time_s_concurrent"}
+
+func comparisonRecord(c Cell) []string {
+	return []string{c.App, c.Topo, c.Variant, itoa(c.Shuttles), itoa(c.Swaps),
+		ftoa(c.Success), ftoa(c.ExecTime), ftoa(c.CompileTime.Seconds())}
+}
+
+func successRecord(c Cell) []string { return []string{c.App, c.Variant, ftoa(c.Success)} }
+
+func lookup(name string) (experiment, bool) {
+	for _, e := range registry {
+		if e.name == name {
+			return e, true
+		}
+	}
+	return experiment{}, false
+}
+
+// Run executes a named experiment (a registry name, or "all" for every
+// one in report order) and returns its textual report.
+func Run(name string, opt Options) (string, error) {
+	if name == "all" {
+		var b strings.Builder
+		for _, e := range registry {
+			s, _, err := e.run(opt)
 			if err != nil {
-				return nil, err
+				return b.String(), err
 			}
-			if topo.TotalCapacity() < c.NumQubits {
-				continue // paper omits infeasible panels too
-			}
-			for _, comp := range Compilers {
-				reqs = append(reqs, engine.Request{
-					Label:    app,
-					Circuit:  c,
-					Topo:     topo,
-					Compiler: comp,
-				})
-			}
+			b.WriteString(s)
+			b.WriteByte('\n')
 		}
+		return b.String(), nil
 	}
-	return reqs, nil
+	e, ok := lookup(name)
+	if !ok {
+		return "", fmt.Errorf("exp: unknown experiment %q (want table1, table2, fig8..fig16, ablation, passes or all)", name)
+	}
+	s, _, err := e.run(opt)
+	return s, err
 }
 
-// comparison compiles the grid concurrently through the request API. The
-// compilers are deterministic, so the cells match comparisonSerial
-// field-for-field — except CompileTime, which is wall-clock measured
-// under GOMAXPROCS-way contention here; treat the compile_time column as
-// throughput context, and use fig15 (still serial) for the paper's
-// compile-time scaling.
-func comparison(opt Options) ([]Cell, error) {
-	reqs, err := comparisonRequests(opt)
+// RunCSV regenerates an experiment and renders its rows as CSV for
+// external plotting (the figures in the paper are bar/line charts over
+// exactly these columns). Table1 has no data rows and is rejected.
+func RunCSV(name string, opt Options) (string, error) {
+	e, ok := lookup(name)
+	if !ok || e.header == nil {
+		return "", fmt.Errorf("exp: experiment %q has no CSV form", name)
+	}
+	_, records, err := e.run(opt)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	// Experiment grids are offline sweeps: background class, so sharing
-	// an engine with live traffic can never starve it.
-	pool := engine.Pool{Engine: engine.New(engine.Options{CacheSize: -1}), Priority: sched.Background}
-	results := pool.RunRequests(context.Background(), reqs)
-	cells := make([]Cell, 0, len(results))
-	for i, r := range results {
-		req := reqs[i]
-		if r.Err != nil {
-			return nil, fmt.Errorf("exp: %s on %s with %s: %w", req.Label, req.Topo.Name, req.Compiler, r.Err)
-		}
-		cells = append(cells, cellFromResult(r.Compiler, req.Label, req.Topo, r.Result))
+	var b strings.Builder
+	w := csv.NewWriter(&b)
+	if err := w.Write(e.header); err != nil {
+		return "", err
 	}
-	return cells, nil
+	if err := w.WriteAll(records); err != nil {
+		return "", err
+	}
+	return b.String(), nil
 }
 
-// comparisonSerial is the original single-goroutine grid walk, kept as
-// the reference implementation the pool path is tested against.
-func comparisonSerial(opt Options) ([]Cell, error) {
-	reqs, err := comparisonRequests(opt)
-	if err != nil {
-		return nil, err
-	}
-	var cells []Cell
-	for _, req := range reqs {
-		cell, err := runCell(req.Compiler, req.Label, req.Circuit, req.Topo)
-		if err != nil {
-			return nil, err
-		}
-		cells = append(cells, cell)
-	}
-	return cells, nil
-}
+func itoa(i int) string { return strconv.Itoa(i) }
 
-func sortedKeys(m map[string][]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
-}
-
-// ssyncWithMapping compiles with S-SYNC under a specific initial mapping.
-func ssyncWithMapping(strategy mapping.Strategy, c *circuit.Circuit, topo *device.Topology) (*core.Result, error) {
-	cfg := core.DefaultConfig()
-	cfg.Mapping.Strategy = strategy
-	return core.Compile(cfg, c, topo)
-}
-
-// simulateWithModel reruns a compiled schedule under a gate implementation.
-func simulateWithModel(res *core.Result, topo *device.Topology, model noise.GateModel) sim.Metrics {
-	opt := sim.DefaultOptions()
-	opt.Params.Model = model
-	return sim.Run(res.Schedule, topo, opt)
-}
+func ftoa(f float64) string { return strconv.FormatFloat(f, 'e', 6, 64) }

@@ -2,27 +2,33 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+
+	"ssync/internal/workloads"
 )
 
 // renderCells gives a byte-exact fingerprint of a cell slice with the
 // wall-clock CompileTime field normalised away (it differs run to run by
 // construction; every semantic field must match exactly).
 func renderCells(cells []Cell) string {
-	out := ""
+	var b strings.Builder
 	for _, c := range cells {
-		c.CompileTime = 0
-		out += fmt.Sprintf("%+v\n", c)
+		c.CompileTime, c.res, c.topo = 0, nil, nil
+		fmt.Fprintf(&b, "%+v\n", c)
 	}
-	return out
+	return b.String()
 }
 
+// TestComparisonPoolMatchesSerialByteForByte: the runner on one worker
+// and on the default pool produce the same grid, cell for cell.
 func TestComparisonPoolMatchesSerialByteForByte(t *testing.T) {
-	serial, err := comparisonSerial(quick)
+	panels, variants := workloads.ComparisonPanels(true), compilerVariants(Compilers...)
+	serial, err := compile(panels, variants, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := comparison(quick)
+	pooled, err := compile(panels, variants, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

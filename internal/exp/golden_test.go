@@ -37,7 +37,8 @@ var wallClockText = map[string]int{"fig15": 3, "passes": 3}
 
 func TestExperimentsGolden(t *testing.T) {
 	var b strings.Builder
-	for _, name := range AllExperiments {
+	for _, e := range registry {
+		name := e.name
 		text, err := Run(name, quick)
 		if err != nil {
 			t.Fatalf("Run(%s): %v", name, err)

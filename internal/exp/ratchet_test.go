@@ -1,14 +1,12 @@
 package exp
 
 import (
-	"context"
 	"math"
 	"sort"
 	"sync"
 	"testing"
 
 	"ssync/internal/device"
-	"ssync/internal/engine"
 	"ssync/internal/workloads"
 )
 
@@ -30,10 +28,11 @@ type gridQuality struct {
 	MedianDeltaLn, WorstDeltaLn float64
 }
 
-// qualityOf folds a grid into its gridQuality. The cells come panel by
-// panel, one per compiler of Compilers, so each run of len(Compilers)
-// cells is one panel. Success rates compare through LogSuccess, which
-// stays finite where the rate itself underflows.
+// qualityOf folds a grid into its gridQuality. The runner returns cells
+// panel by panel, one per compiler of Compilers, so each run of
+// len(Compilers) cells is one panel: an application, a topology and a
+// trap capacity. Success rates compare through LogSuccess, which stays
+// finite where the rate itself underflows.
 func qualityOf(t *testing.T, cells []Cell) gridQuality {
 	t.Helper()
 	if len(cells)%len(Compilers) != 0 {
@@ -43,9 +42,12 @@ func qualityOf(t *testing.T, cells []Cell) gridQuality {
 	var logShuttle, logSuccess float64
 	var deltas []float64
 	for i := 0; i < len(cells); i += len(Compilers) {
-		row := map[CompilerName]Cell{}
+		row := map[string]Cell{}
 		for _, c := range cells[i : i+len(Compilers)] {
-			row[c.Compiler] = c
+			if c.Panel != cells[i].Panel {
+				t.Fatalf("panel %+v holds a cell of panel %+v", cells[i].Panel, c.Panel)
+			}
+			row[c.Variant] = c
 		}
 		s, m, d := row[SSync], row[Murali], row[Dai]
 		bestShuttles := min(m.Shuttles, d.Shuttles)
@@ -117,40 +119,19 @@ var heldOutFloor = gridQuality{
 // and a trap capacity. It fails if S-SYNC's quality against the better
 // baseline drops below heldOutFloor on any of the six measures.
 func TestHeldOutQualityRatchet(t *testing.T) {
-	apps := []string{"QFT_64", "BV_64", "Adder_32", "Heisenberg_48", "QAOA_64", "ALT_64"}
-	topos := []string{"L-6", "G-2x3", "S-6", "L-4", "G-2x2", "S-4", "G-3x3"}
-	totals := []int{96, 108, 120, 132, 144}
-	var reqs []engine.Request
-	for _, app := range apps {
-		c, err := workloads.Build(app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tn := range topos {
-			for _, total := range totals {
-				topo, err := device.ByName(tn, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				capacity := (total + topo.NumTraps() - 1) / topo.NumTraps()
-				if capacity == device.PaperCapacity(tn) {
-					continue
-				}
-				if topo, err = device.ByName(tn, capacity); err != nil {
-					t.Fatal(err)
-				}
-				for _, comp := range Compilers {
-					reqs = append(reqs, engine.Request{Label: app, Circuit: c, Topo: topo, Compiler: comp})
-				}
-			}
+	sweep, err := fig11Sweep(Options{}, []string{"QFT_64", "BV_64", "Adder_32", "Heisenberg_48", "QAOA_64", "ALT_64"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var panels []workloads.Panel
+	for _, p := range sweep {
+		if p.Capacity != device.PaperCapacity(p.Topo) {
+			panels = append(panels, p)
 		}
 	}
-	var cells []Cell
-	for i, r := range (&engine.Pool{}).RunRequests(context.Background(), reqs) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		cells = append(cells, cellFromResult(r.Compiler, reqs[i].Label, reqs[i].Topo, r.Result))
+	cells, err := compile(panels, compilerVariants(Compilers...), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	q := qualityOf(t, cells)
 	checkFloor(t, "held-out grid", q, heldOutFloor)

@@ -53,69 +53,3 @@ func Table2() (string, []Table2Row, error) {
 	}
 	return b.String(), rows, nil
 }
-
-// Run executes a named experiment ("table1", "table2", "fig8" … "fig16",
-// or "all") and returns its textual report.
-func Run(name string, opt Options) (string, error) {
-	switch name {
-	case "table1":
-		return Table1(), nil
-	case "table2":
-		s, _, err := Table2()
-		return s, err
-	case "fig8":
-		s, _, err := Fig8(opt)
-		return s, err
-	case "fig9":
-		s, _, err := Fig9(opt)
-		return s, err
-	case "fig10":
-		s, _, err := Fig10(opt)
-		return s, err
-	case "fig11":
-		s, _, err := Fig11(opt)
-		return s, err
-	case "fig12":
-		s, _, err := Fig12(opt)
-		return s, err
-	case "fig13":
-		s, _, err := Fig13(opt)
-		return s, err
-	case "fig14":
-		s, _, err := Fig14(opt)
-		return s, err
-	case "fig15":
-		s, _, err := Fig15(opt)
-		return s, err
-	case "fig16":
-		s, _, err := Fig16(opt)
-		return s, err
-	case "ablation":
-		s, _, err := Ablation(opt)
-		return s, err
-	case "passes":
-		s, _, err := PassBreakdown(opt)
-		return s, err
-	case "all":
-		var b strings.Builder
-		for _, n := range AllExperiments {
-			s, err := Run(n, opt)
-			if err != nil {
-				return b.String(), err
-			}
-			b.WriteString(s)
-			b.WriteByte('\n')
-		}
-		return b.String(), nil
-	}
-	return "", fmt.Errorf("exp: unknown experiment %q (want table1, table2, fig8..fig16, ablation, passes or all)", name)
-}
-
-// AllExperiments lists every runnable experiment in report order. The
-// trailing "ablation" and "passes" entries are this repository's own
-// studies (design choices; pipeline-stage breakdown), not paper figures.
-var AllExperiments = []string{
-	"table1", "table2", "fig8", "fig9", "fig10",
-	"fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-	"ablation", "passes",
-}

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"ssync/internal/circuit"
+	"ssync/internal/device"
 )
 
 // Adder builds the Cuccaro ripple-carry adder on bits-bit operands:
@@ -202,6 +203,66 @@ func Table2() []Spec {
 		{"QFT_64", 64, "Long-distance gates"},
 		{"Heisenberg_48", 48, "Long-distance gates"},
 	}
+}
+
+// Panel is one point of an experiment grid: an application on a named
+// topology at a per-trap capacity.
+type Panel struct {
+	// App is a Table 2 name ("QFT_24"), or a benchmark family ("qft")
+	// when Size is set.
+	App string
+	// Size, when non-zero, builds App with BySize at this size.
+	Size     int
+	Topo     string
+	Capacity int // slots per trap
+}
+
+// Build constructs the panel's circuit and topology.
+func (p Panel) Build() (*circuit.Circuit, *device.Topology, error) {
+	var c *circuit.Circuit
+	var err error
+	if p.Size != 0 {
+		c, err = BySize(p.App, p.Size)
+	} else {
+		c, err = Build(p.App)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	topo, err := device.ByName(p.Topo, p.Capacity)
+	return c, topo, err
+}
+
+// ComparisonPanels lists the panels of Figs. 8–10 in row order: the
+// paper's 27 at their paper capacities, or with quick the test-scale
+// grid at capacity 8.
+func ComparisonPanels(quick bool) []Panel {
+	type row struct {
+		app   string
+		topos []string
+	}
+	grid, capacity := []row{
+		{"ALT_64", []string{"S-4", "G-2x2", "G-2x3", "G-3x3"}},
+		{"Adder_32", []string{"S-4", "L-4", "G-2x2", "G-2x3", "G-3x3"}},
+		{"BV_64", []string{"S-4", "L-6", "G-2x3", "G-3x3"}},
+		{"QAOA_64", []string{"S-4", "L-4", "L-6", "G-2x2", "G-2x3", "G-3x3"}},
+		{"QFT_24", []string{"S-4", "L-6", "G-2x2", "G-2x3", "G-3x3"}},
+		{"QFT_64", []string{"S-4", "G-2x2", "G-3x3"}},
+	}, device.PaperCapacity
+	if quick {
+		grid, capacity = []row{
+			{"Adder_4", []string{"S-4", "G-2x2"}},
+			{"BV_12", []string{"S-4"}},
+			{"QFT_12", []string{"S-4", "G-2x2"}},
+		}, func(string) int { return 8 }
+	}
+	var panels []Panel
+	for _, r := range grid {
+		for _, topo := range r.topos {
+			panels = append(panels, Panel{App: r.app, Topo: topo, Capacity: capacity(topo)})
+		}
+	}
+	return panels
 }
 
 // maxBuildSize bounds Build's name-parsed problem size.
