@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ssync/internal/device"
 	"ssync/internal/sim"
 	"ssync/internal/workloads"
 )
@@ -29,7 +30,11 @@ func TestBehaviourGolden(t *testing.T) {
 	compilers := []string{CompilerMurali, CompilerDai, CompilerSSync, CompilerSSyncAnnealed}
 	var b strings.Builder
 	for _, p := range workloads.ComparisonPanels(true) {
-		c, topo, err := p.Build()
+		c, err := p.Circuit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo, err := device.ByName(p.Topo, p.Capacity)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"ssync/internal/circuit"
 	"ssync/internal/core"
 	"ssync/internal/device"
 	"ssync/internal/engine"
@@ -84,8 +85,21 @@ type Cell struct {
 func compile(panels []workloads.Panel, variants []engine.Variant, workers int) ([]Cell, error) {
 	var reqs []engine.Request
 	var at []workloads.Panel
+	// Panels of one application share its circuit: building QFT_64 or
+	// Heisenberg_48 costs tens of milliseconds, and a sweep repeats each
+	// application on dozens of devices.
+	circuits := map[workloads.Panel]*circuit.Circuit{} // keyed by App and Size
 	for _, p := range panels {
-		c, topo, err := p.Build()
+		app := workloads.Panel{App: p.App, Size: p.Size}
+		c, ok := circuits[app]
+		if !ok {
+			var err error
+			if c, err = p.Circuit(); err != nil {
+				return nil, err
+			}
+			circuits[app] = c
+		}
+		topo, err := device.ByName(p.Topo, p.Capacity)
 		if err != nil {
 			return nil, err
 		}

@@ -92,13 +92,17 @@ func Fig11(opt Options) (string, []Cell, error) {
 	return b.String(), cells, nil
 }
 
-// sizeSweep lists each family at each size on one device, the panels of
-// the application-size studies (Figs. 12, 14 and 15).
-func sizeSweep(families []string, sizes []int, topo string, capacity int) []workloads.Panel {
+// onDevice lists each application on one device: each family at each
+// size for the application-size studies (Figs. 12, 14 and 15), or with
+// no sizes each Table 2 name once.
+func onDevice(topo string, capacity int, apps []string, sizes ...int) []workloads.Panel {
+	if len(sizes) == 0 {
+		sizes = []int{0}
+	}
 	var panels []workloads.Panel
-	for _, fam := range families {
+	for _, app := range apps {
 		for _, size := range sizes {
-			panels = append(panels, workloads.Panel{App: fam, Size: size, Topo: topo, Capacity: capacity})
+			panels = append(panels, workloads.Panel{App: app, Size: size, Topo: topo, Capacity: capacity})
 		}
 	}
 	return panels
@@ -125,7 +129,7 @@ func Fig12(opt Options) (string, []Cell, error) {
 	for _, s := range []mapping.Strategy{mapping.Gathering, mapping.EvenDivided, mapping.STA} {
 		variants = append(variants, ssyncVariant(s.String(), func(c *core.Config) { c.Mapping.Strategy = s }))
 	}
-	cells, err := compile(sizeSweep([]string{"adder", "qft"}, sizes, "G-2x3", capacity), variants, 0)
+	cells, err := compile(onDevice("G-2x3", capacity, []string{"adder", "qft"}, sizes...), variants, 0)
 	if err != nil {
 		return "", nil, err
 	}
@@ -170,11 +174,7 @@ func Fig13(opt Options) (string, []Cell, error) {
 		apps = []string{"Adder_4", "QFT_12", "BV_12"}
 		capacity = 6
 	}
-	var panels []workloads.Panel
-	for _, app := range apps {
-		panels = append(panels, workloads.Panel{App: app, Topo: "G-2x3", Capacity: capacity})
-	}
-	compiled, err := compile(panels, compilerVariants(SSync), 0)
+	compiled, err := compile(onDevice("G-2x3", capacity, apps), compilerVariants(SSync), 0)
 	if err != nil {
 		return "", nil, err
 	}
@@ -207,7 +207,7 @@ func Fig14(opt Options) (string, []Cell, error) {
 	for _, d := range []float64{0, 0.01, 0.001, 0.0001} {
 		variants = append(variants, ssyncVariant(fmt.Sprintf("d%g", d), func(c *core.Config) { c.Delta = d }))
 	}
-	cells, err := compile(sizeSweep(families, sizes, "G-2x2", capacity), variants, 0)
+	cells, err := compile(onDevice("G-2x2", capacity, families, sizes...), variants, 0)
 	if err != nil {
 		return "", nil, err
 	}
@@ -234,11 +234,11 @@ func Fig15(opt Options) (string, []Cell, error) {
 		capacity = 5
 		families = []string{"bv"}
 	}
-	qft, err := compile(sizeSweep([]string{"qft"}, sizes, "G-2x2", capacity), compilerVariants(Murali, SSync), 1)
+	qft, err := compile(onDevice("G-2x2", capacity, []string{"qft"}, sizes...), compilerVariants(Murali, SSync), 1)
 	if err != nil {
 		return "", nil, err
 	}
-	rest, err := compile(sizeSweep(families, sizes, "G-2x2", capacity), compilerVariants(SSync), 1)
+	rest, err := compile(onDevice("G-2x2", capacity, families, sizes...), compilerVariants(SSync), 1)
 	if err != nil {
 		return "", nil, err
 	}
@@ -266,11 +266,7 @@ func Fig16(opt Options) (string, []Cell, error) {
 		apps = []string{"BV_12", "Adder_4", "QFT_12"}
 		capacity = 6
 	}
-	var panels []workloads.Panel
-	for _, app := range apps {
-		panels = append(panels, workloads.Panel{App: app, Topo: "G-2x2", Capacity: capacity})
-	}
-	compiled, err := compile(panels, compilerVariants(SSync), 0)
+	compiled, err := compile(onDevice("G-2x2", capacity, apps), compilerVariants(SSync), 0)
 	if err != nil {
 		return "", nil, err
 	}

@@ -217,20 +217,13 @@ type Panel struct {
 	Capacity int // slots per trap
 }
 
-// Build constructs the panel's circuit and topology.
-func (p Panel) Build() (*circuit.Circuit, *device.Topology, error) {
-	var c *circuit.Circuit
-	var err error
+// Circuit builds the panel's application; its device is
+// device.ByName(p.Topo, p.Capacity).
+func (p Panel) Circuit() (*circuit.Circuit, error) {
 	if p.Size != 0 {
-		c, err = BySize(p.App, p.Size)
-	} else {
-		c, err = Build(p.App)
+		return BySize(p.App, p.Size)
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	topo, err := device.ByName(p.Topo, p.Capacity)
-	return c, topo, err
+	return Build(p.App)
 }
 
 // ComparisonPanels lists the panels of Figs. 8–10 in row order: the
