@@ -492,14 +492,15 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 // cannot encode (a NaN or ±Inf float) answers 500 with an error body
 // instead of a 200 with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
 		status = http.StatusInternalServerError
-		body, _ = json.Marshal(map[string]string{"error": "encode response: " + err.Error()})
+		body.Reset()
+		json.NewEncoder(&body).Encode(map[string]string{"error": "encode response: " + err.Error()})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(body, '\n'))
+	w.Write(body.Bytes())
 }
 
 // routerMetrics is the ssync_cluster_* family set on the attached
