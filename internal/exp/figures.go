@@ -58,8 +58,8 @@ func fig11Sweep(opt Options, apps []string) ([]workloads.Panel, error) {
 			if err != nil {
 				return nil, err
 			}
+			traps := topo.NumTraps()
 			for _, total := range totals {
-				traps := topo.NumTraps()
 				panels = append(panels, workloads.Panel{App: app, Topo: tn, Capacity: (total + traps - 1) / traps})
 			}
 		}
