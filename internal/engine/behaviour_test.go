@@ -18,8 +18,9 @@ import (
 // schedule.Counts field plus the op count of each (workload, topology,
 // compiler) cell, and the schedule's execution time, log success rate
 // and peak transport n̄ under sim.DefaultOptions() (shortest exact
-// decimal), compared exactly against the checked-in golden. Refactors must leave it unchanged; after
-// an intended behaviour change, refresh it with:
+// decimal), compared exactly against the checked-in golden. Refactors
+// must leave it unchanged; after an intended behaviour change, refresh
+// it with:
 //
 //	go test ./internal/engine/ -run TestBehaviourGolden -update
 var updateBehaviour = flag.Bool("update", false, "rewrite testdata/behaviour.golden from the current compilers")
